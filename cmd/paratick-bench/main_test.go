@@ -180,6 +180,50 @@ func TestCheckpointGoldenBytes(t *testing.T) {
 	}
 }
 
+// TestCorruptCheckpointIsAnError feeds the committed golden checkpoint,
+// with one payload byte flipped, through -checkpoint-in (LoadCheckpoint,
+// then ResumeScenario into the rebuilt reference scenario). Each flip
+// leaves the container well-formed but restores a state no live run can
+// reach: a pending event at coordinates no snapshot can hold (a host-tick
+// sequence number past the engine's counter, a disk completion before the
+// restored clock), or a queued guest segment the hypervisor cannot execute
+// (an unknown kind, an I/O kick without its device). A malformed input
+// must come back as an error, never a panic.
+func TestCorruptCheckpointIsAnError(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "reference-checkpoint.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		offset int
+		want   string
+	}{
+		{12576, `restored event "ptimer:host-tick" seq 38994 not below engine seq 6532`},
+		{9258, `restoring "io:disk0" at 0ns before now 10ms`},
+		{8912, `unknown segment kind`},
+		{8993, `I/O submission without a valid device request`},
+	} {
+		data := bytes.Clone(golden)
+		data[tc.offset] ^= 0x80
+		ck := filepath.Join(t.TempDir(), "corrupt.snap")
+		if err := os.WriteFile(ck, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("offset %d: resume panicked: %v", tc.offset, p)
+				}
+			}()
+			var b strings.Builder
+			err := run([]string{"-scale", "0.05", "-checkpoint-in", ck}, &b)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("offset %d: resume error = %v, want one containing %q", tc.offset, err, tc.want)
+			}
+		}()
+	}
+}
+
 // stripWallClock drops the wall-clock-dependent lines ([name] timing and the
 // trailing "done in ..." summary) so outputs of two runs can be compared.
 func stripWallClock(s string) string {

@@ -39,36 +39,36 @@ func (c *Checkpoint) Events() uint64 { return c.events }
 // Bytes serializes the checkpoint into the versioned container format.
 // The bytes are stable: the same logical state always encodes identically.
 func (c *Checkpoint) Bytes() []byte {
-	var enc snap.Encoder
-	snap.WriteHeader(&enc, checkpointKind)
-	enc.Section("checkpoint")
-	enc.String(string(c.fp))
-	enc.U64(c.seed)
-	enc.I64(int64(c.at))
-	enc.U64(c.events)
-	enc.String(string(c.payload))
-	return enc.Bytes()
+	w := snap.NewWriter()
+	c.snap(w)
+	return w.Bytes()
+}
+
+// snap codes the container: header, then the fingerprint, scalars, and
+// state payload.
+func (c *Checkpoint) snap(cd *snap.Codec) error {
+	if err := cd.Header(checkpointKind); err != nil {
+		return err
+	}
+	cd.Section("checkpoint")
+	cd.Blob(&c.fp)
+	cd.U64(&c.seed)
+	snap.AsI64(cd, &c.at)
+	cd.U64(&c.events)
+	cd.Blob(&c.payload)
+	return cd.Err()
 }
 
 // LoadCheckpoint parses a container produced by Checkpoint.Bytes. The state
 // payload is validated only when the checkpoint is resumed into a rebuilt
 // scenario — the container alone cannot know the object graph.
 func LoadCheckpoint(data []byte) (*Checkpoint, error) {
-	dec := snap.NewDecoder(data)
-	if err := snap.ReadHeader(dec, checkpointKind); err != nil {
-		return nil, err
-	}
-	dec.Section("checkpoint")
+	r := snap.NewReader(data)
 	c := &Checkpoint{}
-	c.fp = []byte(dec.String())
-	c.seed = dec.U64()
-	c.at = sim.Time(dec.I64())
-	c.events = dec.U64()
-	c.payload = []byte(dec.String())
-	if err := dec.Err(); err != nil {
+	if err := c.snap(r); err != nil {
 		return nil, err
 	}
-	if n := dec.Remaining(); n != 0 {
+	if n := r.Remaining(); n != 0 {
 		return nil, fmt.Errorf("experiment: %d trailing bytes after checkpoint", n)
 	}
 	return c, nil

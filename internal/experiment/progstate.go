@@ -16,39 +16,22 @@ var (
 	_ guest.ProgramState = (*spinLockProgram)(nil)
 )
 
-// SaveState implements guest.ProgramState.
-func (p *idleCycleProgram) SaveState(enc *snap.Encoder) {
-	enc.Bool(p.inIO)
+// SnapState implements guest.ProgramState.
+func (p *idleCycleProgram) SnapState(c *snap.Codec) error {
+	c.Bool(&p.inIO)
+	return c.Err()
 }
 
-// LoadState implements guest.ProgramState.
-func (p *idleCycleProgram) LoadState(dec *snap.Decoder) error {
-	p.inIO = dec.Bool()
-	return dec.Err()
+// SnapState implements guest.ProgramState.
+func (p *timerAppProgram) SnapState(c *snap.Codec) error {
+	snap.AsI64(c, &p.iters)
+	c.Bool(&p.sleeping)
+	return c.Err()
 }
 
-// SaveState implements guest.ProgramState.
-func (p *timerAppProgram) SaveState(enc *snap.Encoder) {
-	enc.I64(int64(p.iters))
-	enc.Bool(p.sleeping)
-}
-
-// LoadState implements guest.ProgramState.
-func (p *timerAppProgram) LoadState(dec *snap.Decoder) error {
-	p.iters = int(dec.I64())
-	p.sleeping = dec.Bool()
-	return dec.Err()
-}
-
-// SaveState implements guest.ProgramState.
-func (p *spinLockProgram) SaveState(enc *snap.Encoder) {
-	enc.I64(int64(p.iters))
-	enc.I64(int64(p.phase))
-}
-
-// LoadState implements guest.ProgramState.
-func (p *spinLockProgram) LoadState(dec *snap.Decoder) error {
-	p.iters = int(dec.I64())
-	p.phase = int(dec.I64())
-	return dec.Err()
+// SnapState implements guest.ProgramState.
+func (p *spinLockProgram) SnapState(c *snap.Codec) error {
+	snap.AsI64(c, &p.iters)
+	snap.AsI64(c, &p.phase)
+	return c.Err()
 }

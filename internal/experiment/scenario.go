@@ -375,30 +375,33 @@ func (w *world) deadline() sim.Time {
 // change the graph's shape, and a checkpoint may legitimately be resumed
 // under a different label, horizon, or probe.
 func (w *world) fingerprint() []byte {
-	var enc snap.Encoder
-	enc.Section("scenario-shape")
-	enc.I64(int64(w.cfg.Topology.Sockets))
-	enc.I64(int64(w.cfg.Topology.CPUsPerSocket))
-	enc.F64(w.cfg.Topology.CrossSocketTax)
-	enc.I64(int64(w.cfg.HostHz))
-	enc.I64(int64(w.cfg.Timeslice))
-	enc.I64(int64(w.cfg.HaltPoll))
-	enc.I64(int64(w.cfg.PLEWindow))
-	enc.U8(uint8(w.cfg.SchedPolicy))
-	enc.U32(uint32(len(w.scenario.VMs)))
-	for i, vs := range w.scenario.VMs {
-		enc.String(vs.Name)
-		enc.U8(uint8(vs.Mode))
-		enc.I64(int64(vs.GuestHz))
-		enc.Bool(vs.PolicyOpts.DisarmOnIdleExit)
-		enc.I64(int64(vs.PolicyOpts.IdleEnterCost))
-		enc.I64(int64(vs.PolicyOpts.IdleExitCost))
-		enc.I64(int64(vs.AdaptiveSpin))
-		enc.Bool(vs.TopUp)
-		enc.Bool(vs.Workload)
-		enc.U32(uint32(len(w.placements[i])))
-		for _, c := range w.placements[i] {
-			enc.I64(int64(c))
+	c := snap.NewWriter()
+	c.Section("scenario-shape")
+	cfg := &w.cfg
+	snap.AsI64(c, &cfg.Topology.Sockets)
+	snap.AsI64(c, &cfg.Topology.CPUsPerSocket)
+	c.F64(&cfg.Topology.CrossSocketTax)
+	snap.AsI64(c, &cfg.HostHz)
+	snap.AsI64(c, &cfg.Timeslice)
+	snap.AsI64(c, &cfg.HaltPoll)
+	snap.AsI64(c, &cfg.PLEWindow)
+	snap.AsU8(c, &cfg.SchedPolicy)
+	n := len(w.scenario.VMs)
+	c.Len(&n)
+	for i := range w.scenario.VMs {
+		vs := &w.scenario.VMs[i]
+		c.String(&vs.Name)
+		snap.AsU8(c, &vs.Mode)
+		snap.AsI64(c, &vs.GuestHz)
+		c.Bool(&vs.PolicyOpts.DisarmOnIdleExit)
+		snap.AsI64(c, &vs.PolicyOpts.IdleEnterCost)
+		snap.AsI64(c, &vs.PolicyOpts.IdleExitCost)
+		snap.AsI64(c, &vs.AdaptiveSpin)
+		c.Bool(&vs.TopUp)
+		c.Bool(&vs.Workload)
+		snap.Slice(c, &w.placements[i])
+		for j := range w.placements[i] {
+			snap.AsI64(c, &w.placements[i][j])
 		}
 	}
 	// Lane-mode identity: quantum and the cross-IPI stream shapes change
@@ -409,30 +412,32 @@ func (w *world) fingerprint() []byte {
 	// it is an execution knob with no observable effect, and a checkpoint
 	// taken at shards=4 must resume at shards=1 (and vice versa).
 	if w.scenario.Quantum != 0 {
-		enc.Section("scenario-lanes")
-		enc.I64(int64(w.scenario.Quantum))
-		enc.U32(uint32(len(w.scenario.CrossIPI)))
-		for _, ci := range w.scenario.CrossIPI {
-			enc.I64(int64(ci.Src))
-			enc.I64(int64(ci.Dst))
-			enc.I64(int64(ci.DstVCPU))
-			enc.I64(int64(ci.Period))
-			enc.I64(int64(ci.Latency))
-			enc.I64(int64(ci.Phase))
+		c.Section("scenario-lanes")
+		snap.AsI64(c, &w.scenario.Quantum)
+		n := len(w.scenario.CrossIPI)
+		c.Len(&n)
+		for i := range w.scenario.CrossIPI {
+			ci := &w.scenario.CrossIPI[i]
+			snap.AsI64(c, &ci.Src)
+			snap.AsI64(c, &ci.Dst)
+			snap.AsI64(c, &ci.DstVCPU)
+			snap.AsI64(c, &ci.Period)
+			snap.AsI64(c, &ci.Latency)
+			snap.AsI64(c, &ci.Phase)
 		}
 	}
-	return append([]byte(nil), enc.Bytes()...)
+	return append([]byte(nil), c.Bytes()...)
 }
 
 // save serializes the world's complete mutable state: engine scalars first
 // (restore needs the clock before events re-arm), then the full host.
 func (w *world) save() ([]byte, error) {
-	var enc snap.Encoder
-	w.se.Save(&enc)
-	if err := w.host.Save(&enc); err != nil {
+	c := snap.NewWriter()
+	w.se.Snap(c)
+	if err := w.host.Snap(c); err != nil {
 		return nil, err
 	}
-	return enc.Bytes(), nil
+	return c.Bytes(), nil
 }
 
 // restore overwrites the world's mutable state with a snapshot produced by
@@ -441,14 +446,12 @@ func (w *world) save() ([]byte, error) {
 // component re-arms its pending events at their original coordinates.
 func (w *world) restore(data []byte) error {
 	w.se.Reset(0)
-	dec := snap.NewDecoder(data)
-	if err := w.se.Load(dec); err != nil {
+	r := snap.NewReader(data)
+	w.se.Snap(r)
+	if err := w.host.Snap(r); err != nil {
 		return err
 	}
-	if err := w.host.Load(dec); err != nil {
-		return err
-	}
-	if n := dec.Remaining(); n != 0 {
+	if n := r.Remaining(); n != 0 {
 		return fmt.Errorf("experiment %s: %d bytes left over after snapshot load", w.scenario.Name, n)
 	}
 	w.remaining = 0

@@ -8,7 +8,7 @@ package guest
 // registers sync objects in creation order. The segment pool is drained,
 // not saved: pooled segments are dead state.
 //
-// Load targets a kernel freshly rebuilt from the same scenario
+// Loading targets a kernel freshly rebuilt from the same scenario
 // specification: identical vCPU count, task spawn order, sync-object
 // creation order, and device attachment order. Everything mutable is then
 // overwritten from the snapshot; pending timers and in-service I/O re-arm
@@ -20,53 +20,48 @@ import (
 
 	"paratick/internal/core"
 	"paratick/internal/iodev"
-	"paratick/internal/sim"
 	"paratick/internal/snap"
 )
 
 // --- timer wheel -------------------------------------------------------------
 
-// restoreTimer re-queues t with its saved placement identity: the fire
-// jiffy and tie-break sequence assigned at the original Add. The wheel's
-// clock must already be restored; pending timers always satisfy
-// fireJiff > curJiff.
-func (w *TimerWheel) restoreTimer(t *SoftTimer, fireJiff int64, seq uint64) error {
+// restoreTimer re-queues t with the placement identity the snapshot
+// restored into it: the fire jiffy and tie-break sequence assigned at the
+// original Add. The wheel's clock must already be restored; pending timers
+// always satisfy fireJiff > curJiff.
+func (w *TimerWheel) restoreTimer(t *SoftTimer) error {
 	if t.Pending() {
 		return fmt.Errorf("guest: restore of an already-pending timer")
 	}
-	if fireJiff <= w.curJiff {
-		return fmt.Errorf("guest: restored timer fires at jiffy %d, wheel already at %d", fireJiff, w.curJiff)
+	if t.fireJiff <= w.curJiff {
+		return fmt.Errorf("guest: restored timer fires at jiffy %d, wheel already at %d", t.fireJiff, w.curJiff)
 	}
-	t.fireJiff = fireJiff
-	t.seq = seq
 	w.insert(t)
-	if w.nextOK && fireJiff < w.nextJiff {
-		w.nextJiff = fireJiff
+	if w.nextOK && t.fireJiff < w.nextJiff {
+		w.nextJiff = t.fireJiff
 	}
 	return nil
 }
 
-// saveClock writes the wheel's scalar state. Bucket contents are not
+// snapClock codes the wheel's scalar state. Bucket contents are not
 // enumerated: every timer living in a scenario wheel is a task sleep timer,
-// saved (with its placement) by the task that owns it.
-func (w *TimerWheel) saveClock(enc *snap.Encoder) {
-	enc.I64(int64(w.jiffy))
-	enc.I64(w.curJiff)
-	enc.U64(w.seq)
-}
-
-// loadClock restores state written by saveClock into an empty wheel.
-func (w *TimerWheel) loadClock(dec *snap.Decoder) error {
-	if j := sim.Time(dec.I64()); dec.Err() == nil && j != w.jiffy {
-		return fmt.Errorf("guest: snapshot wheel jiffy %v does not match configured %v", j, w.jiffy)
+// coded (with its placement) by the task that owns it. Loading needs an
+// empty wheel.
+func (w *TimerWheel) snapClock(c *snap.Codec) {
+	jiffy := w.jiffy
+	snap.AsI64(c, &jiffy)
+	if c.Loading() && c.Err() == nil {
+		if jiffy != w.jiffy {
+			c.Fail(fmt.Errorf("guest: snapshot wheel jiffy %v does not match configured %v", jiffy, w.jiffy))
+		} else if w.count != 0 {
+			c.Fail(fmt.Errorf("guest: wheel clock loaded into a wheel holding %d timers", w.count))
+		}
 	}
-	if w.count != 0 {
-		return fmt.Errorf("guest: loadClock into a wheel holding %d timers", w.count)
+	c.I64(&w.curJiff)
+	c.U64(&w.seq)
+	if c.Loading() {
+		w.nextOK = false
 	}
-	w.curJiff = dec.I64()
-	w.seq = dec.U64()
-	w.nextOK = false
-	return dec.Err()
 }
 
 // forEachPending visits every queued timer (buckets and overflow) in an
@@ -90,26 +85,28 @@ func (w *TimerWheel) forEachPending(fn func(t *SoftTimer)) {
 // derived or deliberately recycled state. A freshly constructed wheel and
 // a used-then-Reset wheel must digest identically.
 func (w *TimerWheel) DigestState() snap.Digest {
-	var enc snap.Encoder
-	enc.Section("wheel-digest")
-	enc.I64(int64(w.jiffy))
-	enc.I64(w.maxJiff)
-	enc.I64(w.curJiff)
-	enc.I64(int64(w.count))
-	enc.U64(w.seq)
-	for lvl := 0; lvl < wheelLevels; lvl++ {
-		enc.U64(w.occ[lvl])
+	c := snap.NewWriter()
+	c.Section("wheel-digest")
+	count := int64(w.count)
+	snap.AsI64(c, &w.jiffy)
+	c.I64(&w.maxJiff)
+	c.I64(&w.curJiff)
+	c.I64(&count)
+	c.U64(&w.seq)
+	for lvl := range w.occ {
+		c.U64(&w.occ[lvl])
 	}
 	var pending []*SoftTimer
 	w.forEachPending(func(t *SoftTimer) { pending = append(pending, t) })
 	sort.Slice(pending, func(i, j int) bool { return pending[i].seq < pending[j].seq })
-	enc.U32(uint32(len(pending)))
+	n := len(pending)
+	c.Len(&n)
 	for _, t := range pending {
-		enc.I64(int64(t.Deadline))
-		enc.I64(t.fireJiff)
-		enc.U64(t.seq)
+		snap.AsI64(c, &t.Deadline)
+		c.I64(&t.fireJiff)
+		c.U64(&t.seq)
 	}
-	return snap.HashBytes(enc.Bytes())
+	return snap.HashBytes(c.Bytes())
 }
 
 // --- segments ----------------------------------------------------------------
@@ -130,95 +127,94 @@ func (k *Kernel) deviceIndex(d *iodev.Device) int {
 	return -1
 }
 
-func (k *Kernel) saveSegment(enc *snap.Encoder, s *Segment) error {
-	enc.U8(uint8(s.Kind))
-	enc.String(s.Label)
-	enc.I64(int64(s.Duration))
-	enc.Bool(s.Kernel)
-	enc.Bool(s.Spin)
-	enc.I64(int64(s.Deadline))
-	enc.Bool(s.Req != nil)
-	if s.Req != nil {
-		iodev.SaveRequest(enc, s.Req, taskCookieID)
-	}
-	if s.Dev == nil {
-		enc.I64(-1)
-	} else {
-		idx := k.deviceIndex(s.Dev)
-		if idx < 0 {
-			return fmt.Errorf("guest: segment %v references an unattached device", s)
+// snapSegment codes a segment owned by v. Its completion closure travels
+// as what it was bound over (segDone*); loading rebinds it.
+func (k *Kernel) snapSegment(c *snap.Codec, v *VCPU, s *Segment) {
+	snap.AsU8(c, &s.Kind)
+	c.String(&s.Label)
+	snap.AsI64(c, &s.Duration)
+	c.Bool(&s.Kernel)
+	c.Bool(&s.Spin)
+	snap.AsI64(c, &s.Deadline)
+	hasReq := s.Req != nil
+	c.Bool(&hasReq)
+	if hasReq {
+		if c.Loading() {
+			s.Req = &iodev.Request{}
 		}
-		enc.I64(int64(idx))
+		s.Req.Snap(c, taskCookies{k})
 	}
-	enc.I64(int64(s.Target))
-	enc.I64(int64(s.HKind))
-	enc.I64(s.HArg)
-	switch {
-	case s.OnDone == nil:
-		enc.U8(segDoneNil)
-	case s.ownerLock != nil && s.ownerTask != nil:
-		enc.U8(segDoneLockSpin)
-		enc.I64(int64(s.ownerLock.id))
-		enc.I64(int64(s.ownerTask.ID))
-	case s.ownerTask != nil:
-		enc.U8(segDoneTaskRun)
-		enc.I64(int64(s.ownerTask.ID))
-	default:
-		return fmt.Errorf("guest: segment %v has an OnDone closure with no recorded owner", s)
+	dev := int64(-1)
+	if !c.Loading() && s.Dev != nil {
+		if dev = int64(k.deviceIndex(s.Dev)); dev < 0 {
+			c.Fail(fmt.Errorf("guest: segment %v references an unattached device", s))
+		}
 	}
-	return nil
-}
+	c.I64(&dev)
+	if c.Loading() && c.Err() == nil && dev >= 0 {
+		if dev >= int64(len(k.devices)) {
+			c.Fail(fmt.Errorf("guest: snapshot references device %d of %d", dev, len(k.devices)))
+		} else {
+			s.Dev = k.devices[dev]
+		}
+	}
+	snap.AsI64(c, &s.Target)
+	snap.AsI64(c, &s.HKind)
+	c.I64(&s.HArg)
 
-func (k *Kernel) loadSegment(dec *snap.Decoder, v *VCPU) (*Segment, error) {
-	s := k.acquireSeg()
-	s.Kind = SegKind(dec.U8())
-	s.Label = dec.String()
-	s.Duration = sim.Time(dec.I64())
-	s.Kernel = dec.Bool()
-	s.Spin = dec.Bool()
-	s.Deadline = sim.Time(dec.I64())
-	if dec.Bool() {
-		s.Req = iodev.LoadRequest(dec, k.cookieOf)
-	}
-	if idx := dec.I64(); idx >= 0 {
-		if int(idx) >= len(k.devices) {
-			return nil, fmt.Errorf("guest: snapshot references device %d of %d", idx, len(k.devices))
+	done := uint8(segDoneNil)
+	if !c.Loading() {
+		switch {
+		case s.OnDone == nil:
+		case s.ownerLock != nil && s.ownerTask != nil:
+			done = segDoneLockSpin
+		case s.ownerTask != nil:
+			done = segDoneTaskRun
+		default:
+			c.Fail(fmt.Errorf("guest: segment %v has an OnDone closure with no recorded owner", s))
 		}
-		s.Dev = k.devices[idx]
 	}
-	s.Target = int(dec.I64())
-	s.HKind = core.HypercallKind(dec.I64())
-	s.HArg = dec.I64()
-	done := dec.U8()
-	if err := dec.Err(); err != nil {
-		return nil, err
-	}
+	c.U8(&done)
 	switch done {
 	case segDoneNil:
 	case segDoneTaskRun:
-		t, err := k.taskByID(dec.I64())
-		if err != nil {
-			return nil, err
+		k.snapTask(c, &s.ownerTask, false)
+		if c.Loading() && c.Err() == nil {
+			s.OnDone = s.ownerTask.runDoneFn
 		}
-		s.OnDone = t.runDoneFn
-		s.ownerTask = t
 	case segDoneLockSpin:
-		lockID := dec.I64()
-		t, err := k.taskByID(dec.I64())
-		if err != nil {
-			return nil, err
+		k.snapLock(c, &s.ownerLock)
+		k.snapTask(c, &s.ownerTask, false)
+		if c.Loading() && c.Err() == nil {
+			s.OnDone = v.lockSpinRetry(s.ownerLock, s.ownerTask)
 		}
-		if lockID < 0 || int(lockID) >= len(k.locks) {
-			return nil, fmt.Errorf("guest: snapshot references lock %d of %d", lockID, len(k.locks))
-		}
-		lock := k.locks[lockID]
-		s.OnDone = v.lockSpinRetry(lock, t)
-		s.ownerTask = t
-		s.ownerLock = lock
 	default:
-		return nil, fmt.Errorf("guest: unknown segment completion kind %d", done)
+		c.Fail(fmt.Errorf("guest: unknown segment completion kind %d", done))
 	}
-	return s, dec.Err()
+	if c.Loading() && c.Err() == nil {
+		c.Fail(k.checkRestored(s))
+	}
+}
+
+// checkRestored rejects a restored segment the hypervisor could not
+// execute. A live kernel never issues one, so it means a corrupted
+// snapshot — an error here, where running it would panic.
+func (k *Kernel) checkRestored(s *Segment) error {
+	switch s.Kind {
+	case SegRun, SegMSRWrite, SegHLT, SegHypercall:
+		return nil
+	case SegIOSubmit:
+		if s.Dev == nil || s.Req == nil || s.Req.Bytes <= 0 || s.Req.VCPU < 0 || s.Req.VCPU >= len(k.vcpus) {
+			return fmt.Errorf("guest: snapshot holds an I/O submission without a valid device request")
+		}
+		return nil
+	case SegIPI:
+		if s.Target < 0 || s.Target >= len(k.vcpus) {
+			return fmt.Errorf("guest: snapshot IPI targets vCPU %d of %d", s.Target, len(k.vcpus))
+		}
+		return nil
+	}
+	return fmt.Errorf("guest: snapshot holds unknown segment kind %v", s.Kind)
 }
 
 func (k *Kernel) taskByID(id int64) (*Task, error) {
@@ -228,41 +224,69 @@ func (k *Kernel) taskByID(id int64) (*Task, error) {
 	return k.tasks[id], nil
 }
 
-// taskCookieID translates a request Cookie (a *Task for blocking I/O) into
-// its stable task id.
-func taskCookieID(c any) int64 {
+// snapTask codes a task reference as the task's id, -1 for nil. Loading
+// resolves the id; a negative one restores nil only where orNil allows it.
+func (k *Kernel) snapTask(c *snap.Codec, t **Task, orNil bool) {
+	id := int64(-1)
+	if *t != nil {
+		id = int64((*t).ID)
+	}
+	c.I64(&id)
+	if !c.Loading() {
+		return
+	}
+	*t = nil
+	if c.Err() != nil || (orNil && id < 0) {
+		return
+	}
+	task, err := k.taskByID(id)
+	c.Fail(err)
+	*t = task
+}
+
+// snapTasks codes a task list by id.
+func (k *Kernel) snapTasks(c *snap.Codec, ts *[]*Task) {
+	snap.Slice(c, ts)
+	for i := range *ts {
+		k.snapTask(c, &(*ts)[i], false)
+	}
+}
+
+// snapLock codes a lock reference by its registry ordinal.
+func (k *Kernel) snapLock(c *snap.Codec, l **Lock) {
+	id := int64(-1)
+	if *l != nil {
+		id = int64((*l).id)
+	}
+	c.I64(&id)
+	if !c.Loading() || c.Err() != nil {
+		return
+	}
+	if id < 0 || id >= int64(len(k.locks)) {
+		c.Fail(fmt.Errorf("guest: snapshot references lock %d of %d", id, len(k.locks)))
+		return
+	}
+	*l = k.locks[id]
+}
+
+// taskCookies translates a request Cookie (the *Task blocked on the I/O)
+// into its stable task id and back.
+type taskCookies struct{ k *Kernel }
+
+// CookieID implements iodev.Cookies.
+func (tc taskCookies) CookieID(c any) int64 {
 	if t, ok := c.(*Task); ok && t != nil {
 		return int64(t.ID)
 	}
 	return -1
 }
 
-// cookieOf resolves a task id back into the Cookie value the request
-// carried.
-func (k *Kernel) cookieOf(id int64) any {
-	if id < 0 || int(id) >= len(k.tasks) {
+// Cookie implements iodev.Cookies.
+func (tc taskCookies) Cookie(id int64) any {
+	if id < 0 || int(id) >= len(tc.k.tasks) {
 		return nil
 	}
-	return k.tasks[id]
-}
-
-func saveTaskIDs(enc *snap.Encoder, tasks []*Task) {
-	enc.U32(uint32(len(tasks)))
-	for _, t := range tasks {
-		enc.I64(int64(t.ID))
-	}
-}
-
-func (k *Kernel) loadTaskIDs(dec *snap.Decoder, into []*Task) ([]*Task, error) {
-	n := int(dec.U32())
-	for i := 0; i < n && dec.Err() == nil; i++ {
-		t, err := k.taskByID(dec.I64())
-		if err != nil {
-			return nil, err
-		}
-		into = append(into, t)
-	}
-	return into, dec.Err()
+	return tc.k.tasks[id]
 }
 
 // --- kernel ------------------------------------------------------------------
@@ -272,274 +296,141 @@ func (k *Kernel) loadTaskIDs(dec *snap.Decoder, into []*Task) ([]*Task, error) {
 // re-link its in-flight segment pointer.
 func (v *VCPU) Issued() *Segment { return v.issued }
 
-// Save serializes the kernel's complete mutable state. The shared metrics
+// Snap codes the kernel's complete mutable state. The shared metrics
 // counters are excluded (the hypervisor and guest write into one Counters
-// object; its owner saves it once). Every spawned program must implement
-// ProgramState.
-func (k *Kernel) Save(enc *snap.Encoder) error {
-	enc.Section("guest")
-	for _, w := range k.rng.State() {
-		enc.U64(w)
-	}
-	enc.Bool(k.started)
-
-	enc.U32(uint32(len(k.locks)))
-	for _, l := range k.locks {
-		holder := int64(-1)
-		if l.holder != nil {
-			holder = int64(l.holder.ID)
-		}
-		enc.I64(holder)
-		saveTaskIDs(enc, l.waiters)
-		enc.U64(l.acquisitions)
-		enc.U64(l.contended)
-	}
-	enc.U32(uint32(len(k.barriers)))
-	for _, b := range k.barriers {
-		enc.I64(int64(b.parties)) // mutable: detach shrinks the party
-		saveTaskIDs(enc, b.waiting)
-		enc.U64(b.cycles)
-	}
-	enc.U32(uint32(len(k.conds)))
-	for _, c := range k.conds {
-		enc.I64(int64(c.lock.id))
-		saveTaskIDs(enc, c.waiters)
-		enc.U64(c.waits)
-		enc.U64(c.signals)
-	}
-
-	enc.U32(uint32(len(k.vcpus)))
-	for _, v := range k.vcpus {
-		enc.U64(core.PolicyState(v.policy))
-		v.wheel.saveClock(enc)
-		enc.Bool(v.idle)
-		enc.Bool(v.needResched)
-		enc.Bool(v.booted)
-		enc.Bool(v.timerArmed)
-		enc.I64(int64(v.timerDeadline))
-		enc.Bool(v.rcuPending)
-		enc.I64(int64(v.rcuDeadline))
-		enc.I64(int64(v.switchCount))
-		enc.I64(int64(v.lastTickAt))
-		current := int64(-1)
-		if v.current != nil {
-			current = int64(v.current.ID)
-		}
-		enc.I64(current)
-		saveTaskIDs(enc, v.runq)
-		enc.U32(uint32(len(v.queue)))
-		for _, s := range v.queue {
-			if err := k.saveSegment(enc, s); err != nil {
-				return err
-			}
-		}
-		enc.Bool(v.issued != nil)
-		if v.issued != nil {
-			if err := k.saveSegment(enc, v.issued); err != nil {
-				return err
-			}
-		}
-	}
-
-	enc.U32(uint32(len(k.tasks)))
-	for _, t := range k.tasks {
-		enc.U8(uint8(t.state))
-		for _, w := range t.rng.State() {
-			enc.U64(w)
-		}
-		enc.I64(int64(t.remaining))
-		enc.String(t.blockReason)
-		pending := t.sleepTimer.Pending()
-		enc.Bool(pending)
-		if pending {
-			enc.I64(int64(t.sleepTimer.Deadline))
-			enc.I64(t.sleepTimer.fireJiff)
-			enc.U64(t.sleepTimer.seq)
-		}
-		enc.I64(int64(t.startedAt))
-		enc.I64(int64(t.finishedAt))
-		ps, ok := t.prog.(ProgramState)
-		if !ok {
-			return fmt.Errorf("guest: task %q runs a %T, which does not implement ProgramState; snapshot requires struct programs", t.Name, t.prog)
-		}
-		ps.SaveState(enc)
-	}
-
-	enc.U32(uint32(len(k.devices)))
-	for _, d := range k.devices {
-		d.Save(enc, taskCookieID)
-	}
-	return nil
-}
-
-// Load restores state saved by Save into a kernel freshly rebuilt from the
-// same scenario specification, re-arming pending soft timers and device
-// events at their original engine coordinates. The engine's clock must
-// already be restored (Engine.Load), since timer re-arms schedule into the
-// restored timeline.
-func (k *Kernel) Load(dec *snap.Decoder) error {
-	dec.Section("guest")
-	var s [4]uint64
+// object; its owner codes it once). Every spawned program must implement
+// ProgramState. Loading targets a kernel freshly rebuilt from the same
+// scenario specification and re-arms pending soft timers and device events
+// at their original engine coordinates, so the engine's clock must already
+// be restored (sim.Engine.Snap).
+func (k *Kernel) Snap(c *snap.Codec) error {
+	c.Section("guest")
+	s := k.rng.State()
 	for i := range s {
-		s[i] = dec.U64()
+		c.U64(&s[i])
 	}
-	if err := dec.Err(); err != nil {
-		return err
+	if c.Loading() && c.Err() == nil {
+		k.rng.SetState(s)
 	}
-	k.rng.SetState(s)
-	k.started = dec.Bool()
+	c.Bool(&k.started)
 
-	if n := int(dec.U32()); dec.Err() == nil && n != len(k.locks) {
-		return fmt.Errorf("guest: snapshot has %d locks, kernel has %d", n, len(k.locks))
-	}
+	c.Shape("locks", len(k.locks))
 	for _, l := range k.locks {
-		l.holder = nil
-		if id := dec.I64(); id >= 0 {
-			t, err := k.taskByID(id)
-			if err != nil {
-				return err
-			}
-			l.holder = t
-		}
-		var err error
-		if l.waiters, err = k.loadTaskIDs(dec, l.waiters[:0]); err != nil {
-			return err
-		}
-		l.acquisitions = dec.U64()
-		l.contended = dec.U64()
+		k.snapTask(c, &l.holder, true)
+		k.snapTasks(c, &l.waiters)
+		c.U64(&l.acquisitions)
+		c.U64(&l.contended)
 	}
-	if n := int(dec.U32()); dec.Err() == nil && n != len(k.barriers) {
-		return fmt.Errorf("guest: snapshot has %d barriers, kernel has %d", n, len(k.barriers))
-	}
+	c.Shape("barriers", len(k.barriers))
 	for _, b := range k.barriers {
-		b.parties = int(dec.I64())
-		var err error
-		if b.waiting, err = k.loadTaskIDs(dec, b.waiting[:0]); err != nil {
-			return err
-		}
-		b.cycles = dec.U64()
+		snap.AsI64(c, &b.parties) // mutable: detach shrinks the party
+		k.snapTasks(c, &b.waiting)
+		c.U64(&b.cycles)
 	}
-	if n := int(dec.U32()); dec.Err() == nil && n != len(k.conds) {
-		return fmt.Errorf("guest: snapshot has %d conds, kernel has %d", n, len(k.conds))
-	}
-	for _, c := range k.conds {
-		if id := dec.I64(); dec.Err() == nil && int(id) != c.lock.id {
-			return fmt.Errorf("guest: cond %q paired with lock %d in snapshot, %d in kernel", c.name, id, c.lock.id)
+	c.Shape("conds", len(k.conds))
+	for _, cv := range k.conds {
+		lockID := int64(cv.lock.id)
+		c.I64(&lockID)
+		if c.Loading() && c.Err() == nil && lockID != int64(cv.lock.id) {
+			c.Fail(fmt.Errorf("guest: cond %q paired with lock %d in snapshot, %d in kernel", cv.name, lockID, cv.lock.id))
 		}
-		var err error
-		if c.waiters, err = k.loadTaskIDs(dec, c.waiters[:0]); err != nil {
-			return err
-		}
-		c.waits = dec.U64()
-		c.signals = dec.U64()
+		k.snapTasks(c, &cv.waiters)
+		c.U64(&cv.waits)
+		c.U64(&cv.signals)
 	}
 
-	if n := int(dec.U32()); dec.Err() == nil && n != len(k.vcpus) {
-		return fmt.Errorf("guest: snapshot has %d vCPUs, kernel has %d", n, len(k.vcpus))
-	}
+	c.Shape("vCPUs", len(k.vcpus))
 	for _, v := range k.vcpus {
-		if err := core.SetPolicyState(v.policy, dec.U64()); err != nil {
-			return err
+		ps := core.PolicyState(v.policy)
+		c.U64(&ps)
+		if c.Loading() && c.Err() == nil {
+			c.Fail(core.SetPolicyState(v.policy, ps))
 		}
-		if err := v.wheel.loadClock(dec); err != nil {
-			return err
-		}
-		v.idle = dec.Bool()
-		v.needResched = dec.Bool()
-		v.booted = dec.Bool()
-		v.timerArmed = dec.Bool()
-		v.timerDeadline = sim.Time(dec.I64())
-		v.rcuPending = dec.Bool()
-		v.rcuDeadline = sim.Time(dec.I64())
-		v.switchCount = int(dec.I64())
-		v.lastTickAt = sim.Time(dec.I64())
-		v.current = nil
-		if id := dec.I64(); id >= 0 {
-			t, err := k.taskByID(id)
-			if err != nil {
-				return err
+		v.wheel.snapClock(c)
+		c.Bool(&v.idle)
+		c.Bool(&v.needResched)
+		c.Bool(&v.booted)
+		c.Bool(&v.timerArmed)
+		snap.AsI64(c, &v.timerDeadline)
+		c.Bool(&v.rcuPending)
+		snap.AsI64(c, &v.rcuDeadline)
+		snap.AsI64(c, &v.switchCount)
+		snap.AsI64(c, &v.lastTickAt)
+		k.snapTask(c, &v.current, true)
+		k.snapTasks(c, &v.runq)
+		// Loading replaces the rebuilt segments with pooled ones.
+		if c.Loading() {
+			for _, old := range v.queue {
+				k.releaseSeg(old)
 			}
-			v.current = t
 		}
-		var err error
-		if v.runq, err = k.loadTaskIDs(dec, v.runq[:0]); err != nil {
-			return err
-		}
-		for _, old := range v.queue {
-			k.releaseSeg(old)
-		}
-		v.queue = v.queue[:0]
-		nseg := int(dec.U32())
-		for i := 0; i < nseg; i++ {
-			seg, err := k.loadSegment(dec, v)
-			if err != nil {
-				return err
+		snap.Slice(c, &v.queue)
+		for i := range v.queue {
+			if c.Loading() {
+				v.queue[i] = k.acquireSeg()
 			}
-			v.queue = append(v.queue, seg)
+			k.snapSegment(c, v, v.queue[i])
 		}
-		if v.issued != nil {
+		issued := v.issued != nil
+		c.Bool(&issued)
+		if c.Loading() && v.issued != nil {
 			k.releaseSeg(v.issued)
 			v.issued = nil
 		}
-		if dec.Bool() {
-			if v.issued, err = k.loadSegment(dec, v); err != nil {
-				return err
+		if issued {
+			if c.Loading() {
+				v.issued = k.acquireSeg()
 			}
+			k.snapSegment(c, v, v.issued)
 		}
 	}
 
-	if n := int(dec.U32()); dec.Err() == nil && n != len(k.tasks) {
-		return fmt.Errorf("guest: snapshot has %d tasks, kernel has %d", n, len(k.tasks))
+	c.Shape("tasks", len(k.tasks))
+	if c.Loading() {
+		k.liveTasks = 0
 	}
-	k.liveTasks = 0
 	for _, t := range k.tasks {
-		t.state = TaskState(dec.U8())
-		var rs [4]uint64
+		snap.AsU8(c, &t.state)
+		rs := t.rng.State()
 		for i := range rs {
-			rs[i] = dec.U64()
+			c.U64(&rs[i])
 		}
-		if err := dec.Err(); err != nil {
-			return err
+		if c.Loading() && c.Err() == nil {
+			t.rng.SetState(rs)
 		}
-		t.rng.SetState(rs)
-		t.remaining = sim.Time(dec.I64())
-		t.blockReason = dec.String()
-		t.sleepTimer = SoftTimer{}
-		if dec.Bool() {
-			t.sleepTimer = SoftTimer{
-				Deadline: sim.Time(dec.I64()),
-				Fire:     t.sleepFireFn,
-			}
-			fireJiff := dec.I64()
-			seq := dec.U64()
-			if err := dec.Err(); err != nil {
-				return err
-			}
-			if err := t.vcpu.wheel.restoreTimer(&t.sleepTimer, fireJiff, seq); err != nil {
-				return err
+		snap.AsI64(c, &t.remaining)
+		c.String(&t.blockReason)
+		st := &t.sleepTimer
+		if c.Loading() {
+			*st = SoftTimer{}
+		}
+		pending := st.Pending()
+		c.Bool(&pending)
+		if pending {
+			snap.AsI64(c, &st.Deadline)
+			c.I64(&st.fireJiff)
+			c.U64(&st.seq)
+			if c.Loading() && c.Err() == nil {
+				st.Fire = t.sleepFireFn
+				c.Fail(t.vcpu.wheel.restoreTimer(st))
 			}
 		}
-		t.startedAt = sim.Time(dec.I64())
-		t.finishedAt = sim.Time(dec.I64())
+		snap.AsI64(c, &t.startedAt)
+		snap.AsI64(c, &t.finishedAt)
 		ps, ok := t.prog.(ProgramState)
 		if !ok {
-			return fmt.Errorf("guest: task %q runs a %T, which does not implement ProgramState", t.Name, t.prog)
+			c.Fail(fmt.Errorf("guest: task %q runs a %T, which does not implement ProgramState; snapshot requires struct programs", t.Name, t.prog))
+			return c.Err()
 		}
-		if err := ps.LoadState(dec); err != nil {
-			return err
-		}
-		if t.state != TaskDone {
+		ps.SnapState(c)
+		if c.Loading() && t.state != TaskDone {
 			k.liveTasks++
 		}
 	}
 
-	if n := int(dec.U32()); dec.Err() == nil && n != len(k.devices) {
-		return fmt.Errorf("guest: snapshot has %d devices, kernel has %d", n, len(k.devices))
-	}
+	c.Shape("devices", len(k.devices))
 	for _, d := range k.devices {
-		if err := d.Load(dec, k.cookieOf); err != nil {
-			return err
-		}
+		d.Snap(c, taskCookies{k})
 	}
-	return dec.Err()
+	return c.Err()
 }

@@ -160,10 +160,10 @@ func buildSnapshotScenario(t *testing.T) (*sim.Engine, *Kernel, *miniExec) {
 // the full state of the single-vCPU fixture.
 func saveWorld(t *testing.T, e *sim.Engine, k *Kernel, m *miniExec) []byte {
 	t.Helper()
-	var enc snap.Encoder
-	e.Save(&enc)
-	m.timer.Save(&enc)
-	if err := k.Save(&enc); err != nil {
+	enc := snap.NewWriter()
+	e.Snap(enc)
+	m.timer.Snap(enc)
+	if err := k.Snap(enc); err != nil {
 		t.Fatalf("kernel save: %v", err)
 	}
 	return enc.Bytes()
@@ -171,14 +171,14 @@ func saveWorld(t *testing.T, e *sim.Engine, k *Kernel, m *miniExec) []byte {
 
 func loadWorld(t *testing.T, bytes []byte, e *sim.Engine, k *Kernel, m *miniExec) {
 	t.Helper()
-	dec := snap.NewDecoder(bytes)
-	if err := e.Load(dec); err != nil {
+	dec := snap.NewReader(bytes)
+	if err := e.Snap(dec); err != nil {
 		t.Fatalf("engine load: %v", err)
 	}
-	if err := m.timer.Load(dec); err != nil {
+	if err := m.timer.Snap(dec); err != nil {
 		t.Fatalf("timer load: %v", err)
 	}
-	if err := k.Load(dec); err != nil {
+	if err := k.Snap(dec); err != nil {
 		t.Fatalf("kernel load: %v", err)
 	}
 	if dec.Remaining() != 0 {
@@ -291,8 +291,7 @@ func TestKernelRestoreContinuesIdentically(t *testing.T) {
 func TestSaveRejectsClosurePrograms(t *testing.T) {
 	_, k := newTestKernel(t, core.DynticksIdle, 1)
 	k.Spawn("closure", 0, ProgramFunc(func(*StepCtx) Step { return Done() }))
-	var enc snap.Encoder
-	if err := k.Save(&enc); err == nil {
+	if err := k.Snap(snap.NewWriter()); err == nil {
 		t.Fatal("Save accepted a ProgramFunc task")
 	}
 }
@@ -301,18 +300,17 @@ func TestSaveRejectsClosurePrograms(t *testing.T) {
 func TestStepsProgramState(t *testing.T) {
 	p := Steps(Compute(1), Compute(2), Done()).(*stepsProgram)
 	p.Next(nil)
-	var enc snap.Encoder
-	p.SaveState(&enc)
+	enc := snap.NewWriter()
+	p.SnapState(enc)
 
 	q := Steps(Compute(1), Compute(2), Done()).(*stepsProgram)
-	if err := q.LoadState(snap.NewDecoder(enc.Bytes())); err != nil {
+	if err := q.SnapState(snap.NewReader(enc.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	if q.i != 1 {
 		t.Fatalf("cursor = %d, want 1", q.i)
 	}
-	bad := snap.NewDecoder((&snap.Encoder{}).Bytes())
-	if err := q.LoadState(bad); err == nil {
+	if err := q.SnapState(snap.NewReader(nil)); err == nil {
 		t.Fatal("truncated state accepted")
 	}
 }

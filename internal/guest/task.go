@@ -136,22 +136,18 @@ func (f ProgramFunc) Next(ctx *StepCtx) Step { return f(ctx) }
 
 // ProgramState is implemented by programs whose behaviour depends on
 // mutable fields. Checkpointing a kernel requires every spawned program to
-// implement it; SaveState writes the fields Next reads, LoadState restores
-// them into a freshly built program of the same shape.
+// implement it; SnapState codes the fields Next reads — saving them, or
+// restoring them into a freshly built program of the same shape.
 type ProgramState interface {
-	SaveState(enc *snap.Encoder)
-	LoadState(dec *snap.Decoder) error
+	SnapState(c *snap.Codec) error
 }
 
 // Stateless marks a Program as carrying no mutable state (its Next is a
 // pure function of the StepCtx). Embed it to satisfy ProgramState.
 type Stateless struct{}
 
-// SaveState implements ProgramState; nothing to save.
-func (Stateless) SaveState(*snap.Encoder) {}
-
-// LoadState implements ProgramState; nothing to restore.
-func (Stateless) LoadState(*snap.Decoder) error { return nil }
+// SnapState implements ProgramState; there is nothing to code.
+func (Stateless) SnapState(*snap.Codec) error { return nil }
 
 // stepsProgram replays a fixed step sequence, then Done. Its only mutable
 // state is the replay cursor.
@@ -171,20 +167,18 @@ func (p *stepsProgram) Next(*StepCtx) Step {
 	return s
 }
 
-// SaveState implements ProgramState.
-func (p *stepsProgram) SaveState(enc *snap.Encoder) { enc.U32(uint32(p.i)) }
-
-// LoadState implements ProgramState.
-func (p *stepsProgram) LoadState(dec *snap.Decoder) error {
-	i := int(dec.U32())
-	if err := dec.Err(); err != nil {
-		return err
+// SnapState implements ProgramState.
+func (p *stepsProgram) SnapState(c *snap.Codec) error {
+	i := uint32(p.i)
+	c.U32(&i)
+	if c.Loading() && c.Err() == nil {
+		if int(i) > len(p.steps) {
+			c.Fail(fmt.Errorf("guest: steps-program cursor %d outside %d steps", i, len(p.steps)))
+		} else {
+			p.i = int(i)
+		}
 	}
-	if i < 0 || i > len(p.steps) {
-		return fmt.Errorf("guest: steps-program cursor %d outside %d steps", i, len(p.steps))
-	}
-	p.i = i
-	return nil
+	return c.Err()
 }
 
 // Steps returns a Program that replays a fixed step sequence, then Done.

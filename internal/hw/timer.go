@@ -25,8 +25,9 @@ type DeadlineTimer struct {
 	//reset:keep pre-bound expiry closure, identical across reuses
 	fire func(now sim.Time)
 	//snap:skip pre-bound handler wrapping fire, recreated at construction
-	handler  sim.Handler // pre-bound expiry handler; arming must not allocate
-	ev       sim.Event
+	handler sim.Handler // pre-bound expiry handler; arming must not allocate
+	ev      sim.Event
+	//snap:skip derived: the armed expiry's when, restored from the event coordinates
 	deadline sim.Time
 	armCount uint64
 	expireCt uint64
@@ -114,40 +115,21 @@ func (t *DeadlineTimer) ArmCount() uint64 { return t.armCount }
 // Expirations returns how many times the timer has fired.
 func (t *DeadlineTimer) Expirations() uint64 { return t.expireCt }
 
-// Save serializes the timer's state, including the pending expiry's
-// (when, seq) coordinates so Load can re-arm it in the exact original
-// dispatch order.
-func (t *DeadlineTimer) Save(enc *snap.Encoder) {
-	enc.Section("dtimer:" + t.name)
-	enc.U64(t.armCount)
-	enc.U64(t.expireCt)
-	armed := t.ev.Pending()
-	enc.Bool(armed)
-	if armed {
-		seq, _ := t.ev.Seq()
-		enc.I64(int64(t.deadline))
-		enc.U64(seq)
+// Snap codes the timer's state, including the pending expiry's (when, seq)
+// coordinates, so a restore re-arms it in the exact original dispatch
+// order. Loading needs an engine that already carries the restored clock
+// and sequence counter (sim.Engine.Snap); any stale event handle from
+// before the engine was reset is dead and simply dropped.
+func (t *DeadlineTimer) Snap(c *snap.Codec) error {
+	c.Section("dtimer:" + t.name)
+	c.U64(&t.armCount)
+	c.U64(&t.expireCt)
+	at := sim.SnapCoords(c, t.ev)
+	if c.Loading() {
+		t.deadline = at.When
+		t.ev = t.engine.Rearm(c, at, t.label, t.handler)
 	}
-}
-
-// Load restores state saved by Save. The engine must already carry the
-// restored clock and sequence counter (sim.Engine.Load); any stale event
-// handle from before the engine was reset is dead and simply dropped.
-func (t *DeadlineTimer) Load(dec *snap.Decoder) error {
-	dec.Section("dtimer:" + t.name)
-	t.armCount = dec.U64()
-	t.expireCt = dec.U64()
-	t.ev = sim.Event{}
-	if dec.Bool() {
-		deadline := sim.Time(dec.I64())
-		seq := dec.U64()
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		t.deadline = deadline
-		t.ev = t.engine.ScheduleRestored(deadline, seq, t.label, t.handler)
-	}
-	return dec.Err()
+	return c.Err()
 }
 
 // PeriodicTimer models a free-running periodic interrupt source — the host
@@ -229,45 +211,21 @@ func (t *PeriodicTimer) Period() sim.Time { return t.period }
 // Ticks returns the number of ticks fired so far.
 func (t *PeriodicTimer) Ticks() uint64 { return t.ticks }
 
-// Save serializes the timer's state and the pending tick's (when, seq)
-// coordinates.
-func (t *PeriodicTimer) Save(enc *snap.Encoder) {
-	enc.Section("ptimer:" + t.name)
-	enc.I64(int64(t.period))
-	enc.U64(t.ticks)
-	running := t.ev.Pending()
-	enc.Bool(running)
-	if running {
-		seq, _ := t.ev.Seq()
-		enc.I64(int64(t.ev.When()))
-		enc.U64(seq)
+// Snap codes the timer's state and the pending tick's (when, seq)
+// coordinates, re-arming the next tick at them on load. The snapshot's
+// period must match this timer's — the period is construction-time
+// configuration, not restorable state.
+func (t *PeriodicTimer) Snap(c *snap.Codec) error {
+	c.Section("ptimer:" + t.name)
+	period := t.period
+	snap.AsI64(c, &period)
+	if c.Loading() && c.Err() == nil && period != t.period {
+		c.Fail(fmt.Errorf("hw: snapshot period %v for timer %q does not match configured %v", period, t.name, t.period))
 	}
-}
-
-// Load restores state saved by Save, re-arming the next tick at its
-// original coordinates. The snapshot's period must match this timer's —
-// the period is construction-time configuration, not restorable state.
-func (t *PeriodicTimer) Load(dec *snap.Decoder) error {
-	dec.Section("ptimer:" + t.name)
-	period := sim.Time(dec.I64())
-	ticks := dec.U64()
-	running := dec.Bool()
-	var when sim.Time
-	var seq uint64
-	if running {
-		when = sim.Time(dec.I64())
-		seq = dec.U64()
+	c.U64(&t.ticks)
+	at := sim.SnapCoords(c, t.ev)
+	if c.Loading() {
+		t.ev = t.engine.Rearm(c, at, t.label, t.handler)
 	}
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if period != t.period {
-		return fmt.Errorf("hw: snapshot period %v for timer %q does not match configured %v", period, t.name, t.period)
-	}
-	t.ticks = ticks
-	t.ev = sim.Event{}
-	if running {
-		t.ev = t.engine.ScheduleRestored(when, seq, t.label, t.handler)
-	}
-	return nil
+	return c.Err()
 }

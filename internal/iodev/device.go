@@ -223,10 +223,13 @@ func (d *Device) start(req *Request) {
 	d.inflight++
 	lat := d.profile.Latency(req.Write, req.Sequential, req.Bytes)
 	lat = d.rng.Jitter(lat, d.profile.Jitter)
-	req.ev = d.engine.After(lat, d.ioLabel, func(e *sim.Engine) {
-		d.finish(req)
-	})
+	req.ev = d.engine.After(lat, d.ioLabel, d.completion(req))
 	d.running = append(d.running, req)
+}
+
+// completion returns req's completion-event handler.
+func (d *Device) completion(req *Request) sim.Handler {
+	return func(*sim.Engine) { d.finish(req) }
 }
 
 func (d *Device) finish(req *Request) {
@@ -291,11 +294,15 @@ func (d *Device) raiseOrCoalesce(vcpu int) {
 		return
 	}
 	if !st.flush.Pending() {
-		st.flush = d.engine.After(d.profile.CoalesceWindow, "io-coalesce:"+d.name,
-			func(*sim.Engine) {
-				st.flush = sim.Event{}
-				d.flushCoalesced(vcpu, st)
-			})
+		st.flush = d.engine.After(d.profile.CoalesceWindow, "io-coalesce:"+d.name, d.flusher(vcpu, st))
+	}
+}
+
+// flusher returns the handler of vcpu's coalescing-window flush event.
+func (d *Device) flusher(vcpu int, st *coalesceState) sim.Handler {
+	return func(*sim.Engine) {
+		st.flush = sim.Event{}
+		d.flushCoalesced(vcpu, st)
 	}
 }
 

@@ -1,10 +1,10 @@
 package iodev
 
 // Checkpoint/restore of device state. Requests reference guest tasks
-// through the opaque Cookie, so Save/Load take translation callbacks: the
+// through the opaque Cookie, so Snap takes a translation (Cookies): the
 // guest layer maps cookies to stable task IDs and back. In-service
 // requests carry their completion event's (when, seq) coordinates and are
-// re-armed on Load, so a restored device completes I/O at exactly the
+// re-armed on load, so a restored device completes I/O at exactly the
 // pre-snapshot instants.
 
 import (
@@ -27,161 +27,123 @@ func (d *Device) SetProfile(p Profile) error {
 	return nil
 }
 
-func saveRequest(enc *snap.Encoder, r *Request, cookieID func(any) int64) {
-	enc.Bool(r.Write)
-	enc.Bool(r.Sequential)
-	enc.I64(int64(r.Bytes))
-	enc.I64(int64(r.VCPU))
-	if r.Cookie == nil {
-		enc.I64(-1)
-	} else {
-		enc.I64(cookieID(r.Cookie))
-	}
-	enc.I64(int64(r.Submitted))
-	enc.I64(int64(r.Completed))
-	enc.Bool(r.done)
+// Cookies translates request cookies to stable snapshot ids and back: the
+// guest maps the *Task blocked on an I/O to its task id. Saving calls
+// CookieID for every non-nil Cookie (the id must be non-negative); loading
+// calls Cookie for every id it reads.
+type Cookies interface {
+	CookieID(cookie any) int64
+	Cookie(id int64) any
 }
 
-func loadRequest(dec *snap.Decoder, cookie func(int64) any) *Request {
-	r := &Request{
-		Write:      dec.Bool(),
-		Sequential: dec.Bool(),
-		Bytes:      int(dec.I64()),
-		VCPU:       int(dec.I64()),
+// Snap codes a request. Its completion event is not part of it: a device
+// codes that alongside each in-service request, and a request held outside
+// any device (the guest's queued io-kick segments carry such requests) has
+// none.
+func (r *Request) Snap(c *snap.Codec, cookies Cookies) error {
+	c.Bool(&r.Write)
+	c.Bool(&r.Sequential)
+	snap.AsI64(c, &r.Bytes)
+	snap.AsI64(c, &r.VCPU)
+	id := int64(-1)
+	if !c.Loading() && r.Cookie != nil {
+		id = cookies.CookieID(r.Cookie)
 	}
-	if id := dec.I64(); id >= 0 {
-		r.Cookie = cookie(id)
+	c.I64(&id)
+	if c.Loading() {
+		r.Cookie = nil
+		if id >= 0 {
+			r.Cookie = cookies.Cookie(id)
+		}
 	}
-	r.Submitted = sim.Time(dec.I64())
-	r.Completed = sim.Time(dec.I64())
-	r.done = dec.Bool()
-	return r
+	snap.AsI64(c, &r.Submitted)
+	snap.AsI64(c, &r.Completed)
+	c.Bool(&r.done)
+	return c.Err()
 }
 
-// SaveRequest encodes a request not yet held by any device (the guest's
-// queued io-kick segments carry such requests). cookieID translates the
-// opaque Cookie as in Device.Save.
-func SaveRequest(enc *snap.Encoder, r *Request, cookieID func(any) int64) {
-	saveRequest(enc, r, cookieID)
+// snapRequests codes a request list; loading fills it with new requests.
+func snapRequests(c *snap.Codec, rs *[]*Request, cookies Cookies) {
+	snap.Slice(c, rs)
+	for i, r := range *rs {
+		if c.Loading() {
+			r = &Request{}
+			(*rs)[i] = r
+		}
+		r.Snap(c, cookies)
+	}
 }
 
-// LoadRequest decodes a request written by SaveRequest.
-func LoadRequest(dec *snap.Decoder, cookie func(int64) any) *Request {
-	return loadRequest(dec, cookie)
-}
+// Snap codes the device's full state. Loading targets a freshly
+// constructed device (same name, vector, and engine wiring) and re-arms
+// every in-service completion and coalescing flush at its original
+// coordinates.
+func (d *Device) Snap(c *snap.Codec, cookies Cookies) error {
+	c.Section("iodev:" + d.name)
+	if c.Loading() && (d.inflight != 0 || len(d.waiting) != 0 || len(d.completed) != 0) {
+		c.Fail(fmt.Errorf("iodev: %s: snapshot loaded into a device with active requests", d.name))
+		return c.Err()
+	}
+	s := d.rng.State()
+	for i := range s {
+		c.U64(&s[i])
+	}
+	if c.Loading() {
+		d.rng.SetState(s)
+	}
+	c.U64(&d.ops)
+	c.U64(&d.bytesRead)
+	c.U64(&d.bytesWritten)
+	c.U64(&d.coalescedIRQs)
 
-// Save serializes the device's full state. cookieID must translate every
-// non-nil request Cookie into a stable non-negative identifier.
-func (d *Device) Save(enc *snap.Encoder, cookieID func(any) int64) {
-	enc.Section("iodev:" + d.name)
-	for _, w := range d.rng.State() {
-		enc.U64(w)
+	snap.Slice(c, &d.running)
+	for i, req := range d.running {
+		if c.Loading() {
+			req = &Request{}
+			d.running[i] = req
+		}
+		req.Snap(c, cookies)
+		at := sim.SnapArmed(c, req.ev)
+		if c.Loading() && c.Err() == nil {
+			d.inflight++
+			req.ev = d.engine.Rearm(c, at, d.ioLabel, d.completion(req))
+		}
 	}
-	enc.U64(d.ops)
-	enc.U64(d.bytesRead)
-	enc.U64(d.bytesWritten)
-	enc.U64(d.coalescedIRQs)
-
-	enc.U32(uint32(len(d.running)))
-	for _, r := range d.running {
-		saveRequest(enc, r, cookieID)
-		seq, _ := r.ev.Seq()
-		enc.I64(int64(r.ev.When()))
-		enc.U64(seq)
-	}
-	enc.U32(uint32(len(d.waiting)))
-	for _, r := range d.waiting {
-		saveRequest(enc, r, cookieID)
-	}
-	enc.U32(uint32(len(d.completed)))
-	for _, r := range d.completed {
-		saveRequest(enc, r, cookieID)
-	}
+	snapRequests(c, &d.waiting, cookies)
+	snapRequests(c, &d.completed, cookies)
 
 	// Coalescing state is keyed by vCPU in a map; collect and sort the keys
 	// before encoding (paratick-vet D003). Exhausted entries (no pending
 	// completions, no flush scheduled) are semantically absent — skip them
 	// so equal states encode to equal bytes.
-	keys := make([]int, 0, len(d.coalesce))
-	for vcpu, st := range d.coalesce {
-		if st.pending > 0 || st.flush.Pending() {
-			keys = append(keys, vcpu)
-		}
-	}
-	sort.Ints(keys)
-	enc.U32(uint32(len(keys)))
-	for _, vcpu := range keys {
-		st := d.coalesce[vcpu]
-		enc.I64(int64(vcpu))
-		enc.I64(int64(st.pending))
-		flushing := st.flush.Pending()
-		enc.Bool(flushing)
-		if flushing {
-			seq, _ := st.flush.Seq()
-			enc.I64(int64(st.flush.When()))
-			enc.U64(seq)
-		}
-	}
-}
-
-// Load restores state saved by Save into a freshly constructed device (same
-// name, vector, and engine wiring). cookie must translate the identifiers
-// produced by Save's cookieID back into live guest objects.
-func (d *Device) Load(dec *snap.Decoder, cookie func(int64) any) error {
-	dec.Section("iodev:" + d.name)
-	if d.inflight != 0 || len(d.waiting) != 0 || len(d.completed) != 0 {
-		return fmt.Errorf("iodev: %s: Load into a device with active requests", d.name)
-	}
-	var s [4]uint64
-	for i := range s {
-		s[i] = dec.U64()
-	}
-	d.rng.SetState(s)
-	d.ops = dec.U64()
-	d.bytesRead = dec.U64()
-	d.bytesWritten = dec.U64()
-	d.coalescedIRQs = dec.U64()
-
-	nRunning := int(dec.U32())
-	for i := 0; i < nRunning && dec.Err() == nil; i++ {
-		req := loadRequest(dec, cookie)
-		when := sim.Time(dec.I64())
-		seq := dec.U64()
-		if dec.Err() != nil {
-			break
-		}
-		d.inflight++
-		req.ev = d.engine.ScheduleRestored(when, seq, d.ioLabel, func(e *sim.Engine) {
-			d.finish(req)
-		})
-		d.running = append(d.running, req)
-	}
-	nWaiting := int(dec.U32())
-	for i := 0; i < nWaiting && dec.Err() == nil; i++ {
-		d.waiting = append(d.waiting, loadRequest(dec, cookie))
-	}
-	nCompleted := int(dec.U32())
-	for i := 0; i < nCompleted && dec.Err() == nil; i++ {
-		d.completed = append(d.completed, loadRequest(dec, cookie))
-	}
-
-	nCoalesce := int(dec.U32())
-	for i := 0; i < nCoalesce && dec.Err() == nil; i++ {
-		vcpu := int(dec.I64())
-		st := &coalesceState{pending: int(dec.I64())}
-		d.coalesce[vcpu] = st
-		if dec.Bool() {
-			when := sim.Time(dec.I64())
-			seq := dec.U64()
-			if dec.Err() != nil {
-				break
+	var keys []int
+	if !c.Loading() {
+		keys = make([]int, 0, len(d.coalesce))
+		for vcpu, st := range d.coalesce {
+			if st.pending > 0 || st.flush.Pending() {
+				keys = append(keys, vcpu)
 			}
-			st.flush = d.engine.ScheduleRestored(when, seq, "io-coalesce:"+d.name,
-				func(*sim.Engine) {
-					st.flush = sim.Event{}
-					d.flushCoalesced(vcpu, st)
-				})
+		}
+		sort.Ints(keys)
+	}
+	n := len(keys)
+	c.Len(&n)
+	for i := 0; i < n && c.Err() == nil; i++ {
+		var vcpu int
+		var st *coalesceState
+		if c.Loading() {
+			st = &coalesceState{}
+		} else {
+			vcpu = keys[i]
+			st = d.coalesce[vcpu]
+		}
+		snap.AsI64(c, &vcpu)
+		snap.AsI64(c, &st.pending)
+		at := sim.SnapCoords(c, st.flush)
+		if c.Loading() && c.Err() == nil {
+			d.coalesce[vcpu] = st
+			st.flush = d.engine.Rearm(c, at, "io-coalesce:"+d.name, d.flusher(vcpu, st))
 		}
 	}
-	return dec.Err()
+	return c.Err()
 }

@@ -59,11 +59,24 @@ func (h *Host) armRemoteIRQ(r *remoteIRQ, fireAt sim.Time) {
 }
 
 // armRemoteIRQRestored is the checkpoint-restore arm path: same handler,
-// re-scheduled at the snapshot's original (when, seq) coordinates.
-func (h *Host) armRemoteIRQRestored(r *remoteIRQ, when sim.Time, seq uint64) {
+// re-scheduled at the snapshot's original (when, seq) coordinates. A
+// delivery that names no live vCPU, or coordinates the engine cannot hold,
+// is a corrupted snapshot and an error.
+func (h *Host) armRemoteIRQRestored(r *remoteIRQ, at sim.Coords) error {
+	if r.vm < 0 || r.vm >= len(h.vms) {
+		return fmt.Errorf("kvm: snapshot remote IRQ targets unknown VM %d", r.vm)
+	}
 	vm := h.vms[r.vm]
-	r.ev = vm.engine.ScheduleRestored(when, seq, "remote-irq", h.remoteFireFn(vm, r))
+	if r.vcpu < 0 || r.vcpu >= len(vm.vcpus) {
+		return fmt.Errorf("kvm: snapshot remote IRQ targets invalid vCPU %d of VM %q", r.vcpu, vm.name)
+	}
+	ev, err := vm.engine.ScheduleRestored(at.When, at.Seq, "remote-irq", h.remoteFireFn(vm, r))
+	if err != nil {
+		return err
+	}
+	r.ev = ev
 	h.inflight[vm.lane] = append(h.inflight[vm.lane], r)
+	return nil
 }
 
 // remoteFireFn builds the delivery handler: unregister, then pend the

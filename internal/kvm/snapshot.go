@@ -3,7 +3,7 @@ package kvm
 // Checkpoint/restore of the full hypervisor state. The protocol mirrors
 // the guest layer's: the scenario is rebuilt from its spec first (which
 // recreates every object, closure, and pre-bound handler), the engine is
-// reset and loaded, and then Host.Load overwrites the rebuilt state with
+// reset and loaded, and then Host.Snap overwrites the rebuilt state with
 // the snapshot's — re-arming every pending host-side event (segment
 // completions, halt polls, wake delays, host ticks, guest/top-up timers)
 // at its original (when, seq) coordinates.
@@ -19,7 +19,6 @@ import (
 	"fmt"
 
 	"paratick/internal/guest"
-	"paratick/internal/hw"
 	"paratick/internal/sched"
 	"paratick/internal/sim"
 	"paratick/internal/snap"
@@ -35,277 +34,155 @@ const (
 	pevIrq  = 3 // irqDoneFn: an interrupt-induced exit's window elapses
 )
 
-func saveEventCoords(enc *snap.Encoder, ev sim.Event) {
-	pending := ev.Pending()
-	enc.Bool(pending)
-	if pending {
-		seq, _ := ev.Seq()
-		enc.I64(int64(ev.When()))
-		enc.U64(seq)
-	}
-}
-
-// loadEventCoords reads the coordinates written by saveEventCoords and
-// re-arms the handler when the event was pending. Returns the zero Event
-// otherwise.
-func loadEventCoords(dec *snap.Decoder, e *sim.Engine, label string, fn sim.Handler) (sim.Event, error) {
-	if !dec.Bool() {
-		return sim.Event{}, dec.Err()
-	}
-	when := sim.Time(dec.I64())
-	seq := dec.U64()
-	if err := dec.Err(); err != nil {
-		return sim.Event{}, err
-	}
-	return e.ScheduleRestored(when, seq, label, fn), nil
-}
-
-// Save serializes the complete hypervisor state: every VM (counters,
-// vCPUs, guest kernel), the scheduler queues, every pCPU's run state, and
-// the tracer. The engine must be saved separately (sim.Engine.Save) and
+// Snap codes the complete hypervisor state: every VM (counters, vCPUs,
+// guest kernel), the scheduler queues, every pCPU's run state, and the
+// tracer. The engine is coded separately (sim.ShardedEngine.Snap) and
 // first, since restore needs the engine's clock before any event re-arms.
-func (h *Host) Save(enc *snap.Encoder) error {
-	enc.Section("kvm-host")
-	enc.U32(uint32(len(h.pcpus)))
-	enc.U32(uint32(len(h.vms)))
-	enc.I64(int64(h.nextIOVector))
-	enc.U64(h.nextSchedKey)
+// Loading targets a host freshly rebuilt from the same scenario spec:
+// identical topology, VM shapes, device attachments, and spawn order.
+func (h *Host) Snap(c *snap.Codec) error {
+	c.Section("kvm-host")
+	c.Shape("pCPUs", len(h.pcpus))
+	c.Shape("VMs", len(h.vms))
+	iov, key := h.nextIOVector, h.nextSchedKey
+	snap.AsI64(c, &iov)
+	c.U64(&key)
+	if c.Loading() && c.Err() == nil && (iov != h.nextIOVector || key != h.nextSchedKey) {
+		c.Fail(fmt.Errorf("kvm: snapshot allocator state (vector %d, key %d) does not match rebuilt host (vector %d, key %d) — scenario shape mismatch",
+			iov, key, h.nextIOVector, h.nextSchedKey))
+	}
+	if c.Err() != nil {
+		return c.Err()
+	}
 	for _, vm := range h.vms {
-		if err := vm.save(enc); err != nil {
-			return err
-		}
+		vm.snap(c)
 	}
-	h.sched.Save(enc)
+	var lookup func(key uint64) sched.Entity
+	if c.Loading() {
+		lookup = h.vcpuLookup()
+	}
+	h.sched.Snap(c, lookup)
 	for _, p := range h.pcpus {
-		if err := p.save(enc); err != nil {
-			return err
-		}
+		p.snap(c, lookup)
 	}
-	h.tracer.Save(enc)
+	h.tracer.Snap(c)
 	if h.se.Quantum() > 0 {
-		h.saveSharded(enc)
+		h.snapSharded(c)
 	}
-	return nil
+	return c.Err()
 }
 
-// Load restores state saved by Save into a host freshly rebuilt from the
-// same scenario spec: identical topology, VM shapes, device attachments,
-// and spawn order. The engine must already be restored (sim.Engine.Load).
-func (h *Host) Load(dec *snap.Decoder) error {
-	dec.Section("kvm-host")
-	np := int(dec.U32())
-	nv := int(dec.U32())
-	iov := hw.Vector(dec.I64())
-	key := dec.U64()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if np != len(h.pcpus) || nv != len(h.vms) {
-		return fmt.Errorf("kvm: snapshot has %d pCPUs / %d VMs, host has %d / %d",
-			np, nv, len(h.pcpus), len(h.vms))
-	}
-	if iov != h.nextIOVector || key != h.nextSchedKey {
-		return fmt.Errorf("kvm: snapshot allocator state (vector %d, key %d) does not match rebuilt host (vector %d, key %d) — scenario shape mismatch",
-			iov, key, h.nextIOVector, h.nextSchedKey)
-	}
-	for _, vm := range h.vms {
-		if err := vm.load(dec); err != nil {
-			return err
-		}
-	}
+// vcpuLookup resolves scheduler keys to the host's vCPUs (nil when none
+// carries the key).
+func (h *Host) vcpuLookup() func(key uint64) sched.Entity {
 	byKey := make(map[uint64]*VCPU)
 	for _, vm := range h.vms {
 		for _, v := range vm.vcpus {
 			byKey[v.node.Key] = v
 		}
 	}
-	lookup := func(k uint64) sched.Entity {
+	return func(k uint64) sched.Entity {
 		if v, ok := byKey[k]; ok {
 			return v
 		}
 		return nil
 	}
-	if err := h.sched.Load(dec, lookup); err != nil {
-		return err
-	}
-	for _, p := range h.pcpus {
-		if err := p.load(dec, byKey); err != nil {
-			return err
-		}
-	}
-	_, err := h.tracer.Load(dec)
-	if err != nil {
-		return err
-	}
-	if h.se.Quantum() > 0 {
-		if err := h.loadSharded(dec); err != nil {
-			return err
-		}
-	}
-	return dec.Err()
 }
 
-// saveSharded encodes the lane-mode extras: per-lane trace rings, in-flight
-// remote-IRQ deliveries, and IPI stream positions. The section only exists
-// for lane-mode hosts (a positive quantum), so legacy checkpoint bytes are
-// byte-for-byte unchanged.
-func (h *Host) saveSharded(enc *snap.Encoder) {
-	enc.Section("kvm-sharded")
-	enc.Bool(h.laneTracers != nil)
+// snapSharded codes the lane-mode extras: per-lane trace rings, in-flight
+// remote-IRQ deliveries, and IPI stream positions, re-arming every
+// delivery and stream event at its original (when, seq) coordinates on
+// load. The section only exists for lane-mode hosts (a positive quantum),
+// so legacy checkpoint bytes are byte-for-byte unchanged.
+func (h *Host) snapSharded(c *snap.Codec) {
+	c.Section("kvm-sharded")
+	laneTraced := h.laneTracers != nil
+	c.Bool(&laneTraced)
+	if c.Loading() && c.Err() == nil && laneTraced != (h.laneTracers != nil) {
+		if laneTraced {
+			c.Fail(fmt.Errorf("kvm: snapshot has per-lane tracers but the rebuilt host records none"))
+		} else {
+			c.Fail(fmt.Errorf("kvm: rebuilt host has per-lane tracers but the snapshot records none"))
+		}
+		return
+	}
 	for _, t := range h.laneTracers {
-		t.Save(enc)
+		t.Snap(c)
 	}
-	enc.U32(uint32(len(h.inflight)))
-	for _, list := range h.inflight {
-		enc.U32(uint32(len(list)))
-		for _, r := range list {
-			enc.I64(int64(r.vm))
-			enc.I64(int64(r.vcpu))
-			enc.I64(int64(r.vec))
-			seq, _ := r.ev.Seq()
-			enc.I64(int64(r.ev.When()))
-			enc.U64(seq)
+	c.Shape("remote-IRQ lanes", len(h.inflight))
+	for lane, list := range h.inflight {
+		n := len(list)
+		c.Len(&n)
+		if c.Loading() {
+			h.inflight[lane] = list[:0]
+		}
+		for i := 0; i < n && c.Err() == nil; i++ {
+			var r *remoteIRQ
+			if c.Loading() {
+				r = &remoteIRQ{}
+			} else {
+				r = list[i]
+			}
+			snap.AsI64(c, &r.vm)
+			snap.AsI64(c, &r.vcpu)
+			snap.AsI64(c, &r.vec)
+			at := sim.SnapArmed(c, r.ev)
+			if c.Loading() && c.Err() == nil {
+				c.Fail(h.armRemoteIRQRestored(r, at))
+			}
 		}
 	}
-	enc.U32(uint32(len(h.streams)))
+	c.Shape("IPI streams", len(h.streams))
 	for _, s := range h.streams {
-		enc.U64(s.sent)
-		saveEventCoords(enc, s.ev)
+		c.U64(&s.sent)
+		at := sim.SnapCoords(c, s.ev)
+		if c.Loading() {
+			s.ev = s.src.engine.Rearm(c, at, "ipi-stream", s.fn)
+		}
 	}
 }
 
-// loadSharded restores the lane-mode extras into a host rebuilt from the
-// same scenario spec, re-arming every in-flight remote delivery and stream
-// event at its original (when, seq) coordinates.
-func (h *Host) loadSharded(dec *snap.Decoder) error {
-	dec.Section("kvm-sharded")
-	if dec.Bool() {
-		if h.laneTracers == nil {
-			return fmt.Errorf("kvm: snapshot has per-lane tracers but the rebuilt host records none")
-		}
-		for _, t := range h.laneTracers {
-			if _, err := t.Load(dec); err != nil {
-				return err
-			}
-		}
-	} else if dec.Err() == nil && h.laneTracers != nil {
-		return fmt.Errorf("kvm: rebuilt host has per-lane tracers but the snapshot records none")
-	}
-	if nl := int(dec.U32()); dec.Err() == nil && nl != len(h.inflight) {
-		return fmt.Errorf("kvm: snapshot has %d remote-IRQ lanes, host has %d", nl, len(h.inflight))
-	}
-	for lane := range h.inflight {
-		h.inflight[lane] = h.inflight[lane][:0]
-		n := int(dec.U32())
-		for i := 0; i < n && dec.Err() == nil; i++ {
-			r := &remoteIRQ{vm: int(dec.I64()), vcpu: int(dec.I64()), vec: hw.Vector(dec.I64())}
-			when := sim.Time(dec.I64())
-			seq := dec.U64()
-			if err := dec.Err(); err != nil {
-				return err
-			}
-			if r.vm < 0 || r.vm >= len(h.vms) {
-				return fmt.Errorf("kvm: snapshot remote IRQ targets unknown VM %d", r.vm)
-			}
-			if vm := h.vms[r.vm]; r.vcpu < 0 || r.vcpu >= len(vm.vcpus) {
-				return fmt.Errorf("kvm: snapshot remote IRQ targets invalid vCPU %d of VM %q", r.vcpu, vm.name)
-			}
-			h.armRemoteIRQRestored(r, when, seq)
-		}
-	}
-	if ns := int(dec.U32()); dec.Err() == nil && ns != len(h.streams) {
-		return fmt.Errorf("kvm: snapshot has %d IPI streams, host has %d", ns, len(h.streams))
-	}
-	for _, s := range h.streams {
-		s.sent = dec.U64()
-		var err error
-		s.ev, err = loadEventCoords(dec, s.src.engine, "ipi-stream", s.fn)
-		if err != nil {
-			return err
-		}
-	}
-	return dec.Err()
-}
-
-func (vm *VM) save(enc *snap.Encoder) error {
-	enc.Section("vm:" + vm.name)
-	enc.I64(int64(vm.declaredTickHz))
-	enc.Bool(vm.started)
-	enc.Bool(vm.workloadDone)
-	enc.I64(int64(vm.doneAt))
-	vm.counters.Save(enc)
-	enc.U32(uint32(len(vm.vcpus)))
+func (vm *VM) snap(c *snap.Codec) {
+	c.Section("vm:" + vm.name)
+	snap.AsI64(c, &vm.declaredTickHz)
+	c.Bool(&vm.started)
+	c.Bool(&vm.workloadDone)
+	snap.AsI64(c, &vm.doneAt)
+	vm.counters.Snap(c)
+	c.Shape("vCPUs", len(vm.vcpus))
 	for _, v := range vm.vcpus {
-		v.save(enc)
+		v.snap(c)
 	}
-	return vm.kernel.Save(enc)
+	vm.kernel.Snap(c)
 }
 
-func (vm *VM) load(dec *snap.Decoder) error {
-	dec.Section("vm:" + vm.name)
-	vm.declaredTickHz = int(dec.I64())
-	vm.started = dec.Bool()
-	vm.workloadDone = dec.Bool()
-	vm.doneAt = sim.Time(dec.I64())
-	if err := vm.counters.Load(dec); err != nil {
-		return err
+func (v *VCPU) snap(c *snap.Codec) {
+	snap.AsU8(c, &v.state)
+	if c.Loading() && c.Err() == nil && (v.state < VCPUStopped || v.state > VCPUHalted) {
+		c.Fail(fmt.Errorf("kvm: snapshot vCPU %s/%d has invalid state %d", v.vm.name, v.id, v.state))
 	}
-	if n := int(dec.U32()); dec.Err() == nil && n != len(vm.vcpus) {
-		return fmt.Errorf("kvm: snapshot VM %q has %d vCPUs, rebuilt VM has %d",
-			vm.name, n, len(vm.vcpus))
+	var pid int64
+	if !c.Loading() {
+		pid = int64(v.pcpu.id)
 	}
-	for _, v := range vm.vcpus {
-		if err := v.load(dec); err != nil {
-			return err
+	c.I64(&pid)
+	if c.Loading() && c.Err() == nil {
+		if pid < 0 || pid >= int64(len(v.vm.host.pcpus)) {
+			c.Fail(fmt.Errorf("kvm: snapshot vCPU %s/%d homed on invalid pCPU %d", v.vm.name, v.id, pid))
+		} else {
+			v.pcpu = v.vm.host.pcpus[pid]
 		}
 	}
-	return vm.kernel.Load(dec)
-}
-
-func (v *VCPU) save(enc *snap.Encoder) {
-	enc.U8(uint8(v.state))
-	enc.I64(int64(v.pcpu.id))
-	v.node.Save(enc)
-	enc.I64(int64(v.lastVirtualTick))
-	enc.I64(int64(v.sliceStart))
-	enc.U32(uint32(len(v.pending)))
-	for _, irq := range v.pending {
-		enc.I64(int64(irq.vec))
-		enc.I64(int64(irq.since))
+	v.node.Snap(c)
+	snap.AsI64(c, &v.lastVirtualTick)
+	snap.AsI64(c, &v.sliceStart)
+	snap.Slice(c, &v.pending)
+	for i := range v.pending {
+		snap.AsI64(c, &v.pending[i].vec)
+		snap.AsI64(c, &v.pending[i].since)
 	}
-	v.guestTimer.Save(enc)
-	v.topUpTimer.Save(enc)
-}
-
-func (v *VCPU) load(dec *snap.Decoder) error {
-	st := VCPUState(dec.U8())
-	if dec.Err() == nil && (st < VCPUStopped || st > VCPUHalted) {
-		return fmt.Errorf("kvm: snapshot vCPU %s/%d has invalid state %d", v.vm.name, v.id, st)
-	}
-	v.state = st
-	pid := int(dec.I64())
-	if dec.Err() == nil && (pid < 0 || pid >= len(v.vm.host.pcpus)) {
-		return fmt.Errorf("kvm: snapshot vCPU %s/%d homed on invalid pCPU %d", v.vm.name, v.id, pid)
-	}
-	if dec.Err() == nil {
-		v.pcpu = v.vm.host.pcpus[pid]
-	}
-	if err := v.node.Load(dec); err != nil {
-		return err
-	}
-	v.lastVirtualTick = sim.Time(dec.I64())
-	v.sliceStart = sim.Time(dec.I64())
-	n := int(dec.U32())
-	v.pending = v.pending[:0]
-	for i := 0; i < n && dec.Err() == nil; i++ {
-		vec := hw.Vector(dec.I64())
-		since := sim.Time(dec.I64())
-		v.pending = append(v.pending, pendingIRQ{vec: vec, since: since})
-	}
-	if err := v.guestTimer.Load(dec); err != nil {
-		return err
-	}
-	return v.topUpTimer.Load(dec)
+	v.guestTimer.Snap(c)
+	v.topUpTimer.Snap(c)
 }
 
 // segEventKind derives the pending completion event's handler kind from
@@ -326,73 +203,65 @@ func (p *PCPU) segEventKind() uint8 {
 	}
 }
 
-func (p *PCPU) save(enc *snap.Encoder) error {
-	enc.Section(fmt.Sprintf("pcpu:%d", p.id))
-	p.tick.Save(enc)
-	cur := p.current != nil
-	enc.Bool(cur)
-	if cur {
-		enc.U64(p.current.node.Key)
+// relinkSeg points the restored pCPU's in-flight segment at the current
+// vCPU's issued guest segment, which the guest kernel restored.
+func (p *PCPU) relinkSeg() error {
+	if p.current == nil {
+		return fmt.Errorf("kvm: snapshot pCPU %d has an in-flight segment but no current vCPU", p.id)
 	}
-	enc.Bool(p.seg != nil)
-	pending := p.segEvent.Pending()
-	enc.Bool(pending)
-	if pending {
-		enc.U8(p.segEventKind())
-		seq, _ := p.segEvent.Seq()
-		enc.I64(int64(p.segEvent.When()))
-		enc.U64(seq)
+	gv, ok := p.current.gcpu.(*guest.VCPU)
+	if !ok {
+		return fmt.Errorf("kvm: pCPU %d in-flight segment belongs to a non-guest vCPU; such hosts cannot be restored", p.id)
 	}
-	enc.I64(int64(p.segStart))
-	enc.Bool(p.polling)
-	enc.I64(int64(p.pollStart))
-	saveEventCoords(enc, p.pollEvent)
-	enc.Bool(p.dispatchPending)
-	saveEventCoords(enc, p.wakeEvent)
-	enc.Bool(p.irqExpire)
+	if p.seg = gv.Issued(); p.seg == nil {
+		return fmt.Errorf("kvm: snapshot pCPU %d expects an issued segment on %s/%d, guest restored none",
+			p.id, p.current.vm.name, p.current.id)
+	}
 	return nil
 }
 
-func (p *PCPU) load(dec *snap.Decoder, byKey map[uint64]*VCPU) error {
-	dec.Section(fmt.Sprintf("pcpu:%d", p.id))
-	if err := p.tick.Load(dec); err != nil {
-		return err
+func (p *PCPU) snap(c *snap.Codec, lookup func(key uint64) sched.Entity) {
+	c.Section(fmt.Sprintf("pcpu:%d", p.id))
+	p.tick.Snap(c)
+	running := p.current != nil
+	c.Bool(&running)
+	if c.Loading() {
+		p.current = nil
 	}
-	p.current = nil
-	if dec.Bool() {
-		key := dec.U64()
-		if dec.Err() == nil {
-			v, ok := byKey[key]
-			if !ok {
-				return fmt.Errorf("kvm: snapshot pCPU %d runs unknown vCPU key %d", p.id, key)
+	if running {
+		var key uint64
+		if !c.Loading() {
+			key = p.current.node.Key
+		}
+		c.U64(&key)
+		if c.Loading() && c.Err() == nil {
+			if p.current, _ = lookup(key).(*VCPU); p.current == nil {
+				c.Fail(fmt.Errorf("kvm: snapshot pCPU %d runs unknown vCPU key %d", p.id, key))
 			}
-			p.current = v
 		}
 	}
-	segInFlight := dec.Bool()
-	p.seg = nil
-	if dec.Err() == nil && segInFlight {
-		if p.current == nil {
-			return fmt.Errorf("kvm: snapshot pCPU %d has an in-flight segment but no current vCPU", p.id)
-		}
-		gv, ok := p.current.gcpu.(*guest.VCPU)
-		if !ok {
-			return fmt.Errorf("kvm: pCPU %d in-flight segment belongs to a non-guest vCPU; such hosts cannot be restored", p.id)
-		}
-		p.seg = gv.Issued()
-		if p.seg == nil {
-			return fmt.Errorf("kvm: snapshot pCPU %d expects an issued segment on %s/%d, guest restored none",
-				p.id, p.current.vm.name, p.current.id)
+	segInFlight := p.seg != nil
+	c.Bool(&segInFlight)
+	if c.Loading() && c.Err() == nil {
+		p.seg = nil
+		if segInFlight {
+			c.Fail(p.relinkSeg())
 		}
 	}
-	p.segEvent = sim.Event{}
-	if dec.Bool() {
-		kind := dec.U8()
-		when := sim.Time(dec.I64())
-		seq := dec.U64()
-		if err := dec.Err(); err != nil {
-			return err
+
+	// The pending completion event carries its handler as a kind.
+	var at sim.Coords
+	kind := uint8(pevRun)
+	pending := p.segEvent.Pending()
+	c.Bool(&pending)
+	if pending {
+		if !c.Loading() {
+			kind = p.segEventKind()
 		}
+		c.U8(&kind)
+		at = sim.SnapArmed(c, p.segEvent)
+	}
+	if c.Loading() {
 		var label string
 		var fn sim.Handler
 		switch kind {
@@ -405,23 +274,22 @@ func (p *PCPU) load(dec *snap.Decoder, byKey map[uint64]*VCPU) error {
 		case pevIrq:
 			label, fn = "pcpu-irq-exit", p.irqDoneFn
 		default:
-			return fmt.Errorf("kvm: snapshot pCPU %d has unknown segment-event kind %d", p.id, kind)
+			c.Fail(fmt.Errorf("kvm: snapshot pCPU %d has unknown segment-event kind %d", p.id, kind))
 		}
-		p.segEvent = p.engine.ScheduleRestored(when, seq, label, fn)
+		p.segEvent = p.engine.Rearm(c, at, label, fn)
 	}
-	p.segStart = sim.Time(dec.I64())
-	p.polling = dec.Bool()
-	p.pollStart = sim.Time(dec.I64())
-	var err error
-	p.pollEvent, err = loadEventCoords(dec, p.engine, "pcpu-poll", p.pollDoneFn)
-	if err != nil {
-		return err
+
+	snap.AsI64(c, &p.segStart)
+	c.Bool(&p.polling)
+	snap.AsI64(c, &p.pollStart)
+	at = sim.SnapCoords(c, p.pollEvent)
+	if c.Loading() {
+		p.pollEvent = p.engine.Rearm(c, at, "pcpu-poll", p.pollDoneFn)
 	}
-	p.dispatchPending = dec.Bool()
-	p.wakeEvent, err = loadEventCoords(dec, p.engine, "pcpu-wakeup", p.wakeupFn)
-	if err != nil {
-		return err
+	c.Bool(&p.dispatchPending)
+	at = sim.SnapCoords(c, p.wakeEvent)
+	if c.Loading() {
+		p.wakeEvent = p.engine.Rearm(c, at, "pcpu-wakeup", p.wakeupFn)
 	}
-	p.irqExpire = dec.Bool()
-	return dec.Err()
+	c.Bool(&p.irqExpire)
 }

@@ -18,7 +18,8 @@ import (
 // paratick VM (two vCPUs sharing pCPU 0) with halt polling enabled, a
 // tracer attached, an NVMe device, and two tasks exercising locks, sleeps,
 // blocking I/O, and a barrier. Deterministic: every call builds the
-// identical world, which is the rebuild contract Host.Load relies on.
+// identical world, which is the rebuild contract Host.Snap relies on when
+// loading.
 func buildSnapScenario(t *testing.T, policy sched.Kind) (*sim.Engine, *Host, *VM) {
 	t.Helper()
 	engine := sim.NewEngine(4242)
@@ -74,9 +75,9 @@ func buildSnapScenario(t *testing.T, policy sched.Kind) (*sim.Engine, *Host, *VM
 // clock before events re-arm), then the host.
 func saveHost(t *testing.T, e *sim.Engine, h *Host) []byte {
 	t.Helper()
-	var enc snap.Encoder
-	e.Save(&enc)
-	if err := h.Save(&enc); err != nil {
+	enc := snap.NewWriter()
+	e.Snap(enc)
+	if err := h.Snap(enc); err != nil {
 		t.Fatalf("host save: %v", err)
 	}
 	return enc.Bytes()
@@ -86,11 +87,11 @@ func saveHost(t *testing.T, e *sim.Engine, h *Host) []byte {
 func restoreHost(t *testing.T, buf []byte, e *sim.Engine, h *Host) {
 	t.Helper()
 	e.Reset(0)
-	dec := snap.NewDecoder(buf)
-	if err := e.Load(dec); err != nil {
+	dec := snap.NewReader(buf)
+	if err := e.Snap(dec); err != nil {
 		t.Fatalf("engine load: %v", err)
 	}
-	if err := h.Load(dec); err != nil {
+	if err := h.Snap(dec); err != nil {
 		t.Fatalf("host load: %v", err)
 	}
 	if dec.Remaining() != 0 {
@@ -194,11 +195,11 @@ func TestHostLoadRejectsShapeMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	e2.Reset(0)
-	dec := snap.NewDecoder(buf)
-	if err := e2.Load(dec); err != nil {
+	dec := snap.NewReader(buf)
+	if err := e2.Snap(dec); err != nil {
 		t.Fatal(err)
 	}
-	if err := h2.Load(dec); err == nil {
+	if err := h2.Snap(dec); err == nil {
 		t.Fatal("shape-mismatched load succeeded")
 	}
 }

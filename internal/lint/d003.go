@@ -5,14 +5,13 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // AnalyzerD003 flags `range` over a map when the loop body is sensitive to
 // iteration order: it writes output (fmt calls, Write*/AddRow/Encode-style
-// method calls), sends on a channel, or accumulates floating-point state
-// declared outside the loop (float addition is not associative, so the sum
-// depends on visit order). The sanctioned patterns stay silent:
+// method calls, snapshot codec calls), sends on a channel, or accumulates
+// floating-point state declared outside the loop (float addition is not
+// associative, so the sum depends on visit order). The sanctioned patterns stay silent:
 //
 //   - collect-and-sort: a loop that only appends keys or pairs into a slice
 //     that is sorted before use triggers nothing (append and integer
@@ -86,6 +85,10 @@ func orderSensitive(pkg *Package, rs *ast.RangeStmt) string {
 		case *ast.SendStmt:
 			reason = "channel send"
 		case *ast.CallExpr:
+			if why := snapCodecSink(pkg, n); why != "" {
+				reason = why
+				return true
+			}
 			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
 				if path, name, ok := qualifiedCallee(pkg.Info, sel); ok {
 					if path == "fmt" {
@@ -96,8 +99,6 @@ func orderSensitive(pkg *Package, rs *ast.RangeStmt) string {
 				// A method (not package-qualified) call with a sink name.
 				if orderedSinkMethods[sel.Sel.Name] {
 					reason = sel.Sel.Name + " method call"
-				} else if isSnapEncoderSink(pkg, sel) {
-					reason = "snap.Encoder." + sel.Sel.Name + " call"
 				}
 			}
 		case *ast.AssignStmt:
@@ -110,29 +111,28 @@ func orderSensitive(pkg *Package, rs *ast.RangeStmt) string {
 	return reason
 }
 
-// isSnapEncoderSink reports whether sel is a method call on a snapshot
-// Encoder (internal/snap). Every Encoder method appends to the serialized
-// byte stream, so calling any of them from a map-range body makes the
-// snapshot bytes depend on iteration order — two snapshots of identical
-// state would then fail to compare byte-equal. The sink-name table above
-// cannot catch these: the encoder's methods are named after the scalar they
-// write (U64, I64, F64, String, …), so the receiver type is the signal.
-func isSnapEncoderSink(pkg *Package, sel *ast.SelectorExpr) bool {
-	tv, ok := pkg.Info.Types[sel.X]
-	if !ok {
-		return false
+// snapCodecSink reports why call writes into a snapshot codec, or "": a
+// method called on a *snap.Codec, or any call handed one (the snap.As*
+// helpers, a component's Snap method). Every codec call moves bytes through
+// the serialized stream in call order, so making one from a map-range body
+// makes the snapshot bytes depend on iteration order — two snapshots of
+// identical state would then fail to compare byte-equal. The sink-name
+// table above cannot catch these: the codec's methods are named after the
+// scalar they code (U64, I64, F64, String, …), so the type is the signal.
+func snapCodecSink(pkg *Package, call *ast.CallExpr) string {
+	isCodec := func(e ast.Expr) bool {
+		tv, ok := pkg.Info.Types[e]
+		return ok && isSnapType(tv.Type, "Codec")
 	}
-	t := tv.Type
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && isCodec(sel.X) {
+		return "snap.Codec." + sel.Sel.Name + " call"
 	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
+	for _, arg := range call.Args {
+		if isCodec(arg) {
+			return "call passing a snap.Codec"
+		}
 	}
-	obj := named.Obj()
-	return obj.Name() == "Encoder" && obj.Pkg() != nil &&
-		strings.HasSuffix(obj.Pkg().Path(), "/snap")
+	return ""
 }
 
 // isFloatAccumulation reports whether the assignment compounds (+=, -=, *=,

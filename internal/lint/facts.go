@@ -2,7 +2,7 @@ package lint
 
 // The type-facts layer: a shared, cross-package inventory built once per
 // RunAnalyzers invocation and handed to every analyzer. It answers the
-// questions the struct-coverage rules (S001/S002 snapshot coverage, R001
+// questions the struct-coverage rules (S001 snapshot coverage, R001
 // reset coverage, D005 shard isolation) all need:
 //
 //   - which named struct types exist, with every field's declaration
@@ -82,7 +82,7 @@ type Facts struct {
 	directives []*FieldDirective
 
 	// Lazily computed cross-package analyses, shared between rules of one
-	// family (S001/S002 share the save-graph sweep, R001 the reachability
+	// family (S001 and U001 share the save-graph sweep, R001 the reachability
 	// walk). Keyed by the Config pointer identity of the run.
 	snap  *snapFacts
 	reset *resetFacts

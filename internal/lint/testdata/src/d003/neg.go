@@ -35,17 +35,18 @@ func Justified(m map[string]int) {
 	}
 }
 
-// SortedSave collects and sorts the keys before encoding — the sanctioned
+// SortedSnap collects and sorts the keys before encoding — the sanctioned
 // pattern for serializing a map: the bytes are deterministic, no finding
 // (the second loop ranges over the sorted slice, not the map).
-func SortedSave(enc *snap.Encoder, m map[string]uint64) {
+func SortedSnap(c *snap.Codec, m map[string]uint64) {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		enc.String(k)
-		enc.U64(m[k])
+		v := m[k]
+		c.String(&k)
+		c.U64(&v)
 	}
 }

@@ -23,11 +23,11 @@ func Total(m map[string]float64) float64 {
 	return sum
 }
 
-// SaveCounts feeds a map range straight into a snapshot encoder: the
+// SnapCounts feeds a map range straight into a snapshot codec: the
 // serialized bytes would depend on iteration order, so two snapshots of
 // identical state could fail to compare byte-equal. One finding.
-func SaveCounts(enc *snap.Encoder, m map[string]uint64) {
+func SnapCounts(c *snap.Codec, m map[string]uint64) {
 	for _, v := range m {
-		enc.U64(v)
+		c.U64(&v)
 	}
 }

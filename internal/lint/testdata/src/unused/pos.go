@@ -32,10 +32,10 @@ type State struct {
 	seen uint64
 }
 
-// Save encodes both fields.
-func (s *State) Save(enc *snap.Encoder) {
-	enc.U64(s.value)
-	enc.U64(s.seen)
+// Snap codes both fields.
+func (s *State) Snap(c *snap.Codec) {
+	c.U64(&s.value)
+	c.U64(&s.seen)
 }
 
 // Cache's entries field is uncovered and its skip has no reason: one
@@ -46,9 +46,9 @@ type Cache struct {
 	hits    uint64
 }
 
-// Save encodes only hits.
-func (c *Cache) Save(enc *snap.Encoder) {
-	enc.U64(c.hits)
+// Snap codes only hits.
+func (c *Cache) Snap(cd *snap.Codec) {
+	cd.U64(&c.hits)
 }
 
 // Pool recycles Conn values; configured as the fixture's arena root.

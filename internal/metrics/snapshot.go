@@ -1,14 +1,11 @@
 package metrics
 
 // Checkpoint encoding of the measurement plane. Counters and Histograms
-// are plain value types, so Save/Load are straight field dumps — but they
+// are plain value types, so Snap is a straight field walk — but they
 // go through snap rather than raw memory copies so the on-disk format
 // stays stable even if Go reorders struct layout or fields grow.
 
-import (
-	"paratick/internal/sim"
-	"paratick/internal/snap"
-)
+import "paratick/internal/snap"
 
 // histWireBuckets is the on-disk bucket count. The wire format predates the
 // HistBuckets shrink and keeps 64 slots so committed checkpoints stay
@@ -16,96 +13,53 @@ import (
 // (see HistBuckets), so the padding slots are always zero.
 const histWireBuckets = 64
 
-// Save serializes the histogram.
-func (h *Histogram) Save(enc *snap.Encoder) {
-	for _, b := range h.Buckets {
-		enc.U64(b)
-	}
-	for i := len(h.Buckets); i < histWireBuckets; i++ {
-		enc.U64(0)
-	}
-	enc.U64(h.N)
-	enc.I64(int64(h.Sum))
-	enc.I64(int64(h.MaxSeen))
-}
-
-// Load restores state saved by Save.
-func (h *Histogram) Load(dec *snap.Decoder) error {
+// Snap codes the histogram. Padding slots are zero for any checkpoint this
+// build wrote; a checkpoint from a wider-histogram build folds its tail
+// into the absorbing top bucket rather than silently dropping counts.
+func (h *Histogram) Snap(c *snap.Codec) error {
 	for i := range h.Buckets {
-		h.Buckets[i] = dec.U64()
+		c.U64(&h.Buckets[i])
 	}
 	for i := len(h.Buckets); i < histWireBuckets; i++ {
-		// Padding slots are zero for any checkpoint this build wrote; a
-		// checkpoint from a wider-histogram build folds its tail into the
-		// absorbing top bucket rather than silently dropping counts.
-		h.Buckets[HistBuckets-1] += dec.U64()
+		var pad uint64
+		c.U64(&pad)
+		if c.Loading() {
+			h.Buckets[HistBuckets-1] += pad
+		}
 	}
-	h.N = dec.U64()
-	h.Sum = sim.Time(dec.I64())
-	h.MaxSeen = sim.Time(dec.I64())
-	return dec.Err()
+	c.U64(&h.N)
+	snap.AsI64(c, &h.Sum)
+	snap.AsI64(c, &h.MaxSeen)
+	return c.Err()
 }
 
-// Save serializes the full counter set.
-func (c *Counters) Save(enc *snap.Encoder) {
-	enc.Section("counters")
-	for _, v := range c.Exits {
-		enc.U64(v)
-	}
-	enc.U64(c.Injections)
-	enc.U64(c.VirtualTicks)
-	enc.U64(c.GuestTicks)
-	enc.U64(c.TimerArms)
-	enc.U64(c.IdleEnters)
-	enc.U64(c.IdleExits)
-	enc.U64(c.Wakeups)
-	enc.U64(c.ContextSw)
-	enc.I64(int64(c.HostOverhead))
-	enc.I64(int64(c.GuestUseful))
-	enc.I64(int64(c.GuestKernel))
-	enc.U64(c.IOReads)
-	enc.U64(c.IOWrites)
-	enc.U64(c.IOBytesRead)
-	enc.U64(c.IOBytesWritten)
-	for i := range c.ExitCost {
-		c.ExitCost[i].Save(enc)
-	}
-	for i := range c.InjectLatency {
-		c.InjectLatency[i].Save(enc)
-	}
-	c.TickInterval.Save(enc)
-}
-
-// Load restores state saved by Save.
-func (c *Counters) Load(dec *snap.Decoder) error {
-	dec.Section("counters")
+// Snap codes the full counter set.
+func (c *Counters) Snap(cd *snap.Codec) error {
+	cd.Section("counters")
 	for i := range c.Exits {
-		c.Exits[i] = dec.U64()
+		cd.U64(&c.Exits[i])
 	}
-	c.Injections = dec.U64()
-	c.VirtualTicks = dec.U64()
-	c.GuestTicks = dec.U64()
-	c.TimerArms = dec.U64()
-	c.IdleEnters = dec.U64()
-	c.IdleExits = dec.U64()
-	c.Wakeups = dec.U64()
-	c.ContextSw = dec.U64()
-	c.HostOverhead = sim.Time(dec.I64())
-	c.GuestUseful = sim.Time(dec.I64())
-	c.GuestKernel = sim.Time(dec.I64())
-	c.IOReads = dec.U64()
-	c.IOWrites = dec.U64()
-	c.IOBytesRead = dec.U64()
-	c.IOBytesWritten = dec.U64()
+	cd.U64(&c.Injections)
+	cd.U64(&c.VirtualTicks)
+	cd.U64(&c.GuestTicks)
+	cd.U64(&c.TimerArms)
+	cd.U64(&c.IdleEnters)
+	cd.U64(&c.IdleExits)
+	cd.U64(&c.Wakeups)
+	cd.U64(&c.ContextSw)
+	snap.AsI64(cd, &c.HostOverhead)
+	snap.AsI64(cd, &c.GuestUseful)
+	snap.AsI64(cd, &c.GuestKernel)
+	cd.U64(&c.IOReads)
+	cd.U64(&c.IOWrites)
+	cd.U64(&c.IOBytesRead)
+	cd.U64(&c.IOBytesWritten)
 	for i := range c.ExitCost {
-		if err := c.ExitCost[i].Load(dec); err != nil {
-			return err
-		}
+		c.ExitCost[i].Snap(cd)
 	}
 	for i := range c.InjectLatency {
-		if err := c.InjectLatency[i].Load(dec); err != nil {
-			return err
-		}
+		c.InjectLatency[i].Snap(cd)
 	}
-	return c.TickInterval.Load(dec)
+	c.TickInterval.Snap(cd)
+	return cd.Err()
 }

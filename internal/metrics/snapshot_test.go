@@ -54,10 +54,10 @@ func TestHistogramSaveLoad(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.Observe(sim.Time(i) * sim.Microsecond)
 	}
-	var enc snap.Encoder
-	h.Save(&enc)
+	enc := snap.NewWriter()
+	h.Snap(enc)
 	var got Histogram
-	if err := got.Load(snap.NewDecoder(enc.Bytes())); err != nil {
+	if err := got.Snap(snap.NewReader(enc.Bytes())); err != nil {
 		t.Fatalf("Load: %v", err)
 	}
 	if got != h {
@@ -80,10 +80,10 @@ func TestCountersSaveLoad(t *testing.T) {
 	c.InjectLatency[VecDevice].Observe(9 * sim.Microsecond)
 	c.TickInterval.Observe(4 * sim.Millisecond)
 
-	var enc snap.Encoder
-	c.Save(&enc)
+	enc := snap.NewWriter()
+	c.Snap(enc)
 	var got Counters
-	if err := got.Load(snap.NewDecoder(enc.Bytes())); err != nil {
+	if err := got.Snap(snap.NewReader(enc.Bytes())); err != nil {
 		t.Fatalf("Load: %v", err)
 	}
 	if got != c {
@@ -91,8 +91,8 @@ func TestCountersSaveLoad(t *testing.T) {
 	}
 
 	// Determinism of the encoding itself: same state, same bytes.
-	var enc2 snap.Encoder
-	c.Save(&enc2)
+	enc2 := snap.NewWriter()
+	c.Snap(enc2)
 	if string(enc.Bytes()) != string(enc2.Bytes()) {
 		t.Fatal("re-encoding the same counters produced different bytes")
 	}

@@ -388,51 +388,35 @@ func stopWorkers(workers []*shardWorker) {
 	}
 }
 
-// Save serializes the coordinator state. Legacy mode writes exactly the
-// single engine's section — byte-identical to the pre-shard encoding.
-// Lane mode writes a sharded section followed by every lane's engine in
-// lane order; the bytes are a pure function of (state, lanes, quantum),
-// never of the shard count. Saving is only legal at a barrier, where the
+// Snap codes the coordinator state. Legacy mode codes exactly the single
+// engine's section — byte-identical to the pre-shard encoding. Lane mode
+// codes a sharded section followed by every lane's engine in lane order;
+// the bytes are a pure function of (state, lanes, quantum), never of the
+// shard count, so a snapshot loads into a coordinator of identical shape
+// under any shard count. Saving is only legal at a barrier, where the
 // mailboxes are provably empty — in-flight messages never serialize.
-func (se *ShardedEngine) Save(enc *snap.Encoder) {
+func (se *ShardedEngine) Snap(c *snap.Codec) error {
 	if se.quantum == 0 {
-		se.engines[0].Save(enc)
-		return
+		return se.engines[0].Snap(c)
 	}
 	for src, box := range se.outbox {
 		if len(box) != 0 {
 			panic(fmt.Sprintf("sim: save with %d undelivered messages from lane %d (not at a barrier)", len(box), src))
 		}
 	}
-	enc.Section("sharded-engine")
-	enc.I64(int64(se.quantum))
-	enc.U32(uint32(len(se.engines)))
-	enc.Bool(se.stopReq)
-	enc.Bool(se.stopped)
+	c.Section("sharded-engine")
+	q := se.quantum
+	snap.AsI64(c, &q)
+	if c.Loading() && c.Err() == nil && q != se.quantum {
+		c.Fail(fmt.Errorf("sim: snapshot quantum %v, coordinator has %v", q, se.quantum))
+	}
+	c.Shape("lanes", len(se.engines))
+	c.Bool(&se.stopReq)
+	c.Bool(&se.stopped)
 	for _, e := range se.engines {
-		e.Save(enc)
-	}
-}
-
-// Load restores state saved by Save into a coordinator of identical shape
-// (same lanes and quantum; shard count is free to differ).
-func (se *ShardedEngine) Load(dec *snap.Decoder) error {
-	if se.quantum == 0 {
-		return se.engines[0].Load(dec)
-	}
-	dec.Section("sharded-engine")
-	if q := Time(dec.I64()); q != se.quantum {
-		return fmt.Errorf("sim: snapshot quantum %v, coordinator has %v", q, se.quantum)
-	}
-	if n := int(dec.U32()); n != len(se.engines) {
-		return fmt.Errorf("sim: snapshot has %d lanes, coordinator has %d", n, len(se.engines))
-	}
-	se.stopReq = dec.Bool()
-	se.stopped = dec.Bool()
-	for _, e := range se.engines {
-		if err := e.Load(dec); err != nil {
-			return err
+		if e.Snap(c) != nil {
+			break
 		}
 	}
-	return dec.Err()
+	return c.Err()
 }

@@ -144,8 +144,10 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 	}
 	laneTickers(a, 300*Microsecond)
 	a.RunUntil(5 * Millisecond)
-	var enc snap.Encoder
-	a.Save(&enc)
+	enc := snap.NewWriter()
+	if err := a.Snap(enc); err != nil {
+		t.Fatal(err)
+	}
 	data := enc.Bytes()
 
 	// Load restores scalar engine state into an empty coordinator; event
@@ -155,11 +157,11 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Load(snap.NewDecoder(data)); err != nil {
+	if err := b.Snap(snap.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
-	var again snap.Encoder
-	b.Save(&again)
+	again := snap.NewWriter()
+	b.Snap(again)
 	if string(again.Bytes()) != string(data) {
 		t.Fatalf("save/load/save diverged: %d vs %d bytes", len(again.Bytes()), len(data))
 	}

@@ -3,11 +3,12 @@ package sim
 // Checkpoint/restore support. The engine's pending events hold Go closures
 // and therefore cannot be serialized; instead the snapshot layer saves the
 // engine's *scalar* state here (clock, sequence counter, RNG stream, stop
-// flags) and each component that owns events re-arms them after restore
-// with ScheduleRestored, preserving the original (when, seq) dispatch
-// order. Pools (the node free list, bucket/heap/batch capacities) and
-// generation stamps are capacity, not state: they are deliberately outside
-// the snapshot and outside DigestState.
+// flags) and each component that owns events codes their coordinates with
+// SnapCoords and re-arms them after restore with Rearm (ScheduleRestored),
+// preserving the original (when, seq) dispatch order. Pools (the node free
+// list, bucket/heap/batch capacities) and generation stamps are capacity,
+// not state: they are deliberately outside the snapshot and outside
+// DigestState.
 
 import (
 	"fmt"
@@ -16,74 +17,102 @@ import (
 	"paratick/internal/snap"
 )
 
-// Save serializes the engine's scalar state. Pending events are not
-// included — their owners re-arm them on restore (see ScheduleRestored).
-func (e *Engine) Save(enc *snap.Encoder) {
-	enc.Section("engine")
-	enc.U64(uint64(e.shift))
-	enc.I64(int64(e.now))
-	enc.U64(e.seq)
-	enc.U64(e.fired)
-	enc.Bool(e.stopReq)
-	enc.Bool(e.stopped)
-	s := e.rand.State()
-	for _, w := range s {
-		enc.U64(w)
+// Snap codes the engine's scalar state. Pending events are not included —
+// their owners re-arm them on restore (see SnapCoords and Rearm). Loading
+// demands an engine that holds no pending events (freshly constructed or
+// Reset); the wheel window is re-derived from the restored clock.
+func (e *Engine) Snap(c *snap.Codec) error {
+	if c.Loading() && e.count != 0 {
+		c.Fail(fmt.Errorf("sim: snapshot loaded into an engine with %d pending events (Reset it first)", e.count))
+		return c.Err()
 	}
+	c.Section("engine")
+	shift := uint64(e.shift)
+	c.U64(&shift)
+	if c.Loading() && c.Err() == nil && shift != uint64(e.shift) {
+		c.Fail(fmt.Errorf("sim: snapshot bucket shift %d does not match engine shift %d", shift, e.shift))
+		return c.Err()
+	}
+	snap.AsI64(c, &e.now)
+	c.U64(&e.seq)
+	c.U64(&e.fired)
+	c.Bool(&e.stopReq)
+	c.Bool(&e.stopped)
+	s := e.rand.State()
+	for i := range s {
+		c.U64(&s[i])
+	}
+	if c.Loading() {
+		e.wheelBase = int64(e.now >> e.shift)
+		e.wheelEnd = wheelEndFor(e.wheelBase, e.shift)
+		e.rand.SetState(s)
+	}
+	return c.Err()
 }
 
-// Load restores scalar state saved by Save into an engine that holds no
-// pending events (freshly constructed or Reset). The wheel window is
-// re-derived from the restored clock; callers then re-arm every pending
-// event via ScheduleRestored.
-func (e *Engine) Load(dec *snap.Decoder) error {
-	dec.Section("engine")
-	shift := uint(dec.U64())
-	now := Time(dec.I64())
-	seq := dec.U64()
-	fired := dec.U64()
-	stopReq := dec.Bool()
-	stopped := dec.Bool()
-	var s [4]uint64
-	for i := range s {
-		s[i] = dec.U64()
+// Coords are an event's (when, seq) dispatch coordinates as a snapshot
+// carries them; Pending is false for an event that was not queued.
+type Coords struct {
+	When    Time
+	Seq     uint64
+	Pending bool
+}
+
+// SnapCoords codes whether ev is pending and, when it is, its (when, seq)
+// coordinates. Saving reads them from ev; loading returns the snapshot's,
+// which the owner hands to Rearm together with the event's pre-bound
+// handler.
+func SnapCoords(c *snap.Codec, ev Event) Coords {
+	pending := ev.Pending()
+	c.Bool(&pending)
+	if !pending {
+		return Coords{}
 	}
-	if err := dec.Err(); err != nil {
-		return err
+	return SnapArmed(c, ev)
+}
+
+// SnapArmed codes the (when, seq) coordinates of an event that is pending
+// by construction, so no pending flag precedes them.
+func SnapArmed(c *snap.Codec, ev Event) Coords {
+	at := Coords{Pending: true}
+	if !c.Loading() {
+		at.When = ev.When()
+		at.Seq, _ = ev.Seq()
 	}
-	if shift != e.shift {
-		return fmt.Errorf("sim: snapshot bucket shift %d does not match engine shift %d", shift, e.shift)
+	snap.AsI64(c, &at.When)
+	c.U64(&at.Seq)
+	return at
+}
+
+// Rearm schedules fn at coordinates a snapshot carried (ScheduleRestored)
+// and returns the handle; a not-pending event yields the zero Event.
+// Invalid coordinates fail c rather than panic, and nothing is scheduled
+// once c has failed.
+func (e *Engine) Rearm(c *snap.Codec, at Coords, label string, fn Handler) Event {
+	if !at.Pending || c.Err() != nil {
+		return Event{}
 	}
-	if e.count != 0 {
-		return fmt.Errorf("sim: Load into an engine with %d pending events (Reset it first)", e.count)
-	}
-	e.now = now
-	e.wheelBase = int64(now >> e.shift)
-	e.wheelEnd = wheelEndFor(e.wheelBase, e.shift)
-	e.seq = seq
-	e.fired = fired
-	e.stopReq = stopReq
-	e.stopped = stopped
-	e.rand.SetState(s)
-	return nil
+	ev, err := e.ScheduleRestored(at.When, at.Seq, label, fn)
+	c.Fail(err)
+	return ev
 }
 
 // ScheduleRestored re-arms an event carried over from a snapshot at its
 // original (when, seq) coordinates, so the restored engine dispatches in
 // exactly the pre-snapshot order. Unlike At it does not consume a new
-// sequence number; seq must predate the restored counter, and when must
-// not be in the past — a snapshot can only contain future events.
-//
-//paratick:noalloc
-func (e *Engine) ScheduleRestored(when Time, seq uint64, label string, fn Handler) Event {
+// sequence number. A snapshot can only hold future events numbered before
+// its sequence counter, so when before now or seq at or past the counter
+// is an error (a corrupted or mismatched snapshot); a nil handler is a
+// programming error and panics. The success path does not allocate.
+func (e *Engine) ScheduleRestored(when Time, seq uint64, label string, fn Handler) (Event, error) {
 	if fn == nil {
 		panic("sim: nil event handler")
 	}
 	if when < e.now {
-		panic(fmt.Sprintf("sim: restoring %q at %v before now %v", label, when, e.now))
+		return Event{}, fmt.Errorf("sim: restoring %q at %v before now %v", label, when, e.now)
 	}
 	if seq >= e.seq {
-		panic(fmt.Sprintf("sim: restored event %q seq %d not below engine seq %d", label, seq, e.seq))
+		return Event{}, fmt.Errorf("sim: restored event %q seq %d not below engine seq %d", label, seq, e.seq)
 	}
 	nd := e.acquire()
 	nd.when = when
@@ -103,7 +132,7 @@ func (e *Engine) ScheduleRestored(when Time, seq uint64, label string, fn Handle
 	default:
 		e.push(nd)
 	}
-	return Event{n: nd, gen: nd.gen}
+	return Event{n: nd, gen: nd.gen}, nil
 }
 
 // Seq returns the event's dispatch sequence number, the tie-break half of
@@ -141,10 +170,11 @@ func (e *Engine) ForEachPending(fn func(when Time, seq uint64, label string)) {
 // they affect performance, never behaviour. Digesting allocates; it is a
 // test and fuzzing facility, not a hot-path one.
 func (e *Engine) DigestState() snap.Digest {
-	var enc snap.Encoder
-	e.Save(&enc)
-	enc.U64(uint64(e.count))
-	enc.Bool(e.obs != nil)
+	c := snap.NewWriter()
+	e.Snap(c)
+	count, observed := uint64(e.count), e.obs != nil
+	c.U64(&count)
+	c.Bool(&observed)
 	type pending struct {
 		when  Time
 		seq   uint64
@@ -155,10 +185,10 @@ func (e *Engine) DigestState() snap.Digest {
 		evs = append(evs, pending{when, seq, label})
 	})
 	sort.Slice(evs, func(i, j int) bool { return evs[i].seq < evs[j].seq })
-	for _, p := range evs {
-		enc.I64(int64(p.when))
-		enc.U64(p.seq)
-		enc.String(p.label)
+	for i := range evs {
+		snap.AsI64(c, &evs[i].when)
+		c.U64(&evs[i].seq)
+		c.String(&evs[i].label)
 	}
-	return snap.HashBytes(enc.Bytes())
+	return snap.HashBytes(c.Bytes())
 }

@@ -94,8 +94,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	prefix := len(srcLog) // firings already delivered before the snapshot
 
 	// Snapshot: scalars via Save, events via ForEachPending.
-	var enc snap.Encoder
-	src.Save(&enc)
+	enc := snap.NewWriter()
+	if err := src.Snap(enc); err != nil {
+		t.Fatal(err)
+	}
 	type saved struct {
 		when  Time
 		seq   uint64
@@ -107,23 +109,27 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	})
 
 	dst := NewEngine(0)
-	if err := dst.Load(snap.NewDecoder(enc.Bytes())); err != nil {
+	if err := dst.Snap(snap.NewReader(enc.Bytes())); err != nil {
 		t.Fatalf("Load: %v", err)
 	}
 	for _, ev := range events {
+		var fn Handler
 		switch ev.label {
 		case "tick":
-			dst.ScheduleRestored(ev.when, ev.seq, ev.label, reschedule(&dstLog))
+			fn = reschedule(&dstLog)
 		case "one-shot":
-			dst.ScheduleRestored(ev.when, ev.seq, ev.label, func(e *Engine) {
+			fn = func(e *Engine) {
 				dstLog = append(dstLog, firing{"one-shot", e.Now()})
-			})
+			}
 		case "far":
-			dst.ScheduleRestored(ev.when, ev.seq, ev.label, func(e *Engine) {
+			fn = func(e *Engine) {
 				dstLog = append(dstLog, firing{"far", e.Now()})
-			})
+			}
 		default:
 			t.Fatalf("unexpected pending label %q", ev.label)
+		}
+		if _, err := dst.ScheduleRestored(ev.when, ev.seq, ev.label, fn); err != nil {
+			t.Fatal(err)
 		}
 	}
 
@@ -172,37 +178,49 @@ func TestScheduleRestoredOrdering(t *testing.T) {
 	}
 }
 
-// TestScheduleRestoredGuards pins the misuse panics.
+// TestScheduleRestoredGuards pins the guards: coordinates a snapshot can
+// never hold (in the past, or numbered at or past the engine's counter) are
+// errors — a corrupted checkpoint must not crash the restore — while a nil
+// handler stays a programming-error panic. Rearm forwards the errors into
+// the codec instead.
 func TestScheduleRestoredGuards(t *testing.T) {
 	e := NewEngine(1)
 	e.At(Microsecond, "x", func(e *Engine) {})
 	e.RunUntil(2 * Microsecond)
+	nop := func(e *Engine) {}
 
-	expectPanic := func(name string, fn func()) {
+	if _, err := e.ScheduleRestored(Microsecond, 0, "past", nop); err == nil {
+		t.Error("past: restoring before now accepted")
+	}
+	if _, err := e.ScheduleRestored(3*Microsecond, e.seq+10, "seq", nop); err == nil {
+		t.Error("future-seq: seq at or past the engine counter accepted")
+	}
+	if e.Pending() != 0 {
+		t.Errorf("rejected restores left %d events queued", e.Pending())
+	}
+	c := snap.NewReader(nil)
+	if ev := e.Rearm(c, Coords{When: Microsecond, Pending: true}, "past", nop); ev.Pending() || c.Err() == nil {
+		t.Errorf("Rearm in the past: pending=%v err=%v", ev.Pending(), c.Err())
+	}
+	func() {
 		defer func() {
 			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
+				t.Error("nil handler: expected panic")
 			}
 		}()
-		fn()
-	}
-	expectPanic("past", func() {
-		e.ScheduleRestored(Microsecond, 0, "past", func(e *Engine) {})
-	})
-	expectPanic("future-seq", func() {
-		e.ScheduleRestored(3*Microsecond, e.seq+10, "seq", func(e *Engine) {})
-	})
+		e.ScheduleRestored(3*Microsecond, 0, "nil", nil)
+	}()
 }
 
 // TestLoadRejectsPendingEvents pins that Load demands a clean engine.
 func TestLoadRejectsPendingEvents(t *testing.T) {
 	src := NewEngine(9)
-	var enc snap.Encoder
-	src.Save(&enc)
+	enc := snap.NewWriter()
+	src.Snap(enc)
 
 	dst := NewEngine(9)
 	dst.After(Microsecond, "pending", func(e *Engine) {})
-	if err := dst.Load(snap.NewDecoder(enc.Bytes())); err == nil {
+	if err := dst.Snap(snap.NewReader(enc.Bytes())); err == nil {
 		t.Fatal("Load accepted an engine with pending events")
 	}
 }

@@ -9,93 +9,86 @@ import (
 	"fmt"
 	"sort"
 
-	"paratick/internal/sim"
 	"paratick/internal/snap"
 )
 
-// Save serializes the buffer. A nil buffer saves an explicit absent
-// marker, so presence round-trips.
-func (b *Buffer) Save(enc *snap.Encoder) {
-	enc.Section("trace")
+// Snap codes the buffer. A nil buffer codes an explicit absent marker, so
+// presence round-trips; loading a present buffer needs one of the same
+// capacity attached.
+func (b *Buffer) Snap(c *snap.Codec) error {
+	c.Section("trace")
+	present := b != nil
+	c.Bool(&present)
+	if !present {
+		return c.Err()
+	}
 	if b == nil {
-		enc.Bool(false)
-		return
+		c.Fail(fmt.Errorf("trace: snapshot carries a trace buffer but none is attached"))
+		return c.Err()
 	}
-	enc.Bool(true)
-	enc.U64(uint64(b.cap))
-	enc.U64(b.total)
-	enc.I64(int64(b.first))
-	enc.I64(int64(b.last))
-	evs := b.Events()
-	enc.U32(uint32(len(evs)))
-	for _, e := range evs {
-		enc.I64(int64(e.When))
-		enc.I64(int64(e.Dur))
-		enc.I64(int64(e.Kind))
-		enc.I64(int64(e.PCPU))
-		enc.String(e.VM)
-		enc.I64(int64(e.VCPU))
-		enc.String(e.Detail)
+	capacity := uint64(b.cap)
+	c.U64(&capacity)
+	if c.Loading() && c.Err() == nil && capacity != uint64(b.cap) {
+		c.Fail(fmt.Errorf("trace: snapshot buffer capacity %d does not match configured %d", capacity, b.cap))
 	}
-	keys := make([]string, 0, len(b.counts))
-	for k := range b.counts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	enc.U32(uint32(len(keys)))
-	for _, k := range keys {
-		enc.String(k)
-		enc.U64(b.counts[k])
-	}
-}
+	c.U64(&b.total)
+	snap.AsI64(c, &b.first)
+	snap.AsI64(c, &b.last)
 
-// Load restores state saved by Save into a buffer of the same capacity.
-// It returns (present, error): present is false when the snapshot recorded
-// a nil tracer.
-func (b *Buffer) Load(dec *snap.Decoder) (bool, error) {
-	dec.Section("trace")
-	if !dec.Bool() {
-		return false, dec.Err()
+	// The ring is coded in chronological order, which normalizes the
+	// next/full cursors away: a loaded ring at capacity resumes as full with
+	// the write cursor back at the start, keeping Events() ordering
+	// identical.
+	var evs []Event
+	if c.Loading() {
+		evs = b.events // decoded in place, reusing the ring's storage
+	} else {
+		evs = b.Events()
 	}
-	if b == nil {
-		return true, fmt.Errorf("trace: snapshot carries a trace buffer but none is attached")
+	snap.Slice(c, &evs)
+	if len(evs) > b.cap {
+		c.Fail(fmt.Errorf("trace: snapshot holds %d events, buffer capacity is %d", len(evs), b.cap))
+		return c.Err()
 	}
-	if c := int(dec.U64()); dec.Err() == nil && c != b.cap {
-		return true, fmt.Errorf("trace: snapshot buffer capacity %d does not match configured %d", c, b.cap)
+	for i := range evs {
+		e := &evs[i]
+		snap.AsI64(c, &e.When)
+		snap.AsI64(c, &e.Dur)
+		snap.AsI64(c, &e.Kind)
+		snap.AsI64(c, &e.PCPU)
+		c.String(&e.VM)
+		snap.AsI64(c, &e.VCPU)
+		c.String(&e.Detail)
 	}
-	b.total = dec.U64()
-	b.first = sim.Time(dec.I64())
-	b.last = sim.Time(dec.I64())
-	n := int(dec.U32())
-	b.events = b.events[:0]
-	b.next = 0
-	b.full = false
-	for i := 0; i < n && dec.Err() == nil; i++ {
-		e := Event{
-			When: sim.Time(dec.I64()),
-			Dur:  sim.Time(dec.I64()),
-			Kind: Kind(dec.I64()),
-			PCPU: int(dec.I64()),
-			VM:   dec.String(),
-			VCPU: int(dec.I64()),
+	if c.Loading() {
+		b.events, b.next, b.full = evs, 0, len(evs) == b.cap
+	}
+
+	// The aggregate map is coded under sorted keys (paratick-vet D003).
+	var keys []string
+	if !c.Loading() {
+		keys = make([]string, 0, len(b.counts))
+		for k := range b.counts {
+			keys = append(keys, k)
 		}
-		e.Detail = dec.String()
-		b.events = append(b.events, e)
+		sort.Strings(keys)
 	}
-	// The ring was saved in chronological order; a saved ring at capacity
-	// resumes as full with the write cursor back at the start, which keeps
-	// Events() ordering identical.
-	if len(b.events) >= b.cap {
-		b.full = true
-		b.next = 0
+	n := len(keys)
+	c.Len(&n)
+	if c.Loading() {
+		clear(b.counts)
 	}
-	nk := int(dec.U32())
-	for k := range b.counts {
-		delete(b.counts, k)
+	for i := 0; i < n && c.Err() == nil; i++ {
+		var k string
+		var v uint64
+		if !c.Loading() {
+			k, v = keys[i], b.counts[keys[i]]
+		}
+		c.String(&k)
+		c.U64(&v)
+		if c.Loading() {
+			b.counts[k] = v
+		}
 	}
-	for i := 0; i < nk && dec.Err() == nil; i++ {
-		k := dec.String()
-		b.counts[k] = dec.U64()
-	}
-	return true, dec.Err()
+	return c.Err()
 }

@@ -20,13 +20,12 @@ func TestBufferSaveLoad(t *testing.T) {
 	for _, n := range []int{0, 3, 8, 13} { // below, at, and beyond capacity 8
 		src := NewBuffer(8)
 		record(src, n)
-		var enc snap.Encoder
-		src.Save(&enc)
+		enc := snap.NewWriter()
+		src.Snap(enc)
 
 		dst := NewBuffer(8)
-		present, err := dst.Load(snap.NewDecoder(enc.Bytes()))
-		if err != nil || !present {
-			t.Fatalf("n=%d: Load = %v, %v", n, present, err)
+		if err := dst.Snap(snap.NewReader(enc.Bytes())); err != nil {
+			t.Fatalf("n=%d: Load = %v", n, err)
 		}
 		if dst.Total() != src.Total() {
 			t.Fatalf("n=%d: total %d != %d", n, dst.Total(), src.Total())
@@ -55,20 +54,29 @@ func TestBufferSaveLoad(t *testing.T) {
 
 func TestNilBufferSaveLoad(t *testing.T) {
 	var nilBuf *Buffer
-	var enc snap.Encoder
-	nilBuf.Save(&enc)
-	present, err := NewBuffer(4).Load(snap.NewDecoder(enc.Bytes()))
-	if err != nil || present {
-		t.Fatalf("nil buffer round trip: present=%v err=%v", present, err)
+	enc := snap.NewWriter()
+	nilBuf.Snap(enc)
+	if err := nilBuf.Snap(snap.NewReader(enc.Bytes())); err != nil {
+		t.Fatalf("nil buffer round trip: %v", err)
+	}
+	dst := NewBuffer(4)
+	record(dst, 2)
+	if err := dst.Snap(snap.NewReader(enc.Bytes())); err != nil || dst.Total() != 2 {
+		t.Fatalf("absent marker into a live buffer: total=%d err=%v", dst.Total(), err)
+	}
+	present := snap.NewWriter()
+	NewBuffer(4).Snap(present)
+	if err := nilBuf.Snap(snap.NewReader(present.Bytes())); err == nil {
+		t.Fatal("present buffer loaded into a nil one")
 	}
 }
 
 func TestLoadRejectsCapacityMismatch(t *testing.T) {
 	src := NewBuffer(8)
 	record(src, 2)
-	var enc snap.Encoder
-	src.Save(&enc)
-	if _, err := NewBuffer(16).Load(snap.NewDecoder(enc.Bytes())); err == nil {
+	enc := snap.NewWriter()
+	src.Snap(enc)
+	if err := NewBuffer(16).Snap(snap.NewReader(enc.Bytes())); err == nil {
 		t.Fatal("capacity mismatch not rejected")
 	}
 }

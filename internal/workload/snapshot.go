@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"paratick/internal/guest"
-	"paratick/internal/sim"
 	"paratick/internal/snap"
 )
 
@@ -20,55 +19,34 @@ var (
 	_ guest.ProgramState = (*parProgram)(nil)
 )
 
-// SaveState implements guest.ProgramState.
-func (f *fioProgram) SaveState(enc *snap.Encoder) {
-	enc.I64(int64(f.opsLeft))
-	enc.Bool(f.thinking)
-	enc.I64(int64(f.opIndex))
+// SnapState implements guest.ProgramState.
+func (f *fioProgram) SnapState(c *snap.Codec) error {
+	snap.AsI64(c, &f.opsLeft)
+	c.Bool(&f.thinking)
+	snap.AsI64(c, &f.opIndex)
+	return c.Err()
 }
 
-// LoadState implements guest.ProgramState.
-func (f *fioProgram) LoadState(dec *snap.Decoder) error {
-	f.opsLeft = int(dec.I64())
-	f.thinking = dec.Bool()
-	f.opIndex = int(dec.I64())
-	return dec.Err()
+// SnapState implements guest.ProgramState.
+func (p *syncProgram) SnapState(c *snap.Codec) error {
+	snap.AsI64(c, &p.phase)
+	c.Bool(&p.done)
+	c.Bool(&p.left)
+	return c.Err()
 }
 
-// SaveState implements guest.ProgramState.
-func (p *syncProgram) SaveState(enc *snap.Encoder) {
-	enc.I64(int64(p.phase))
-	enc.Bool(p.done)
-	enc.Bool(p.left)
+// SnapState implements guest.ProgramState.
+func (s *seqProgram) SnapState(c *snap.Codec) error {
+	snap.AsI64(c, &s.remaining)
+	c.Bool(&s.ioPending)
+	c.Bool(&s.ioSeq)
+	return c.Err()
 }
 
-// LoadState implements guest.ProgramState.
-func (p *syncProgram) LoadState(dec *snap.Decoder) error {
-	p.phase = int(dec.I64())
-	p.done = dec.Bool()
-	p.left = dec.Bool()
-	return dec.Err()
-}
-
-// SaveState implements guest.ProgramState.
-func (s *seqProgram) SaveState(enc *snap.Encoder) {
-	enc.I64(int64(s.remaining))
-	enc.Bool(s.ioPending)
-	enc.Bool(s.ioSeq)
-}
-
-// LoadState implements guest.ProgramState.
-func (s *seqProgram) LoadState(dec *snap.Decoder) error {
-	s.remaining = sim.Time(dec.I64())
-	s.ioPending = dec.Bool()
-	s.ioSeq = dec.Bool()
-	return dec.Err()
-}
-
-// SaveState implements guest.ProgramState. The current-iteration lock is
-// encoded as its index into the thread's stripe slice (-1 when none is
-// held or pending), never as a pointer.
-func (t *parProgram) SaveState(enc *snap.Encoder) {
+// SnapState implements guest.ProgramState. The current-iteration lock is
+// coded as its index into the thread's stripe slice (-1 when none is held
+// or pending), never as a pointer.
+func (t *parProgram) SnapState(c *snap.Codec) error {
 	idx := int64(-1)
 	for i, l := range t.locks {
 		if l == t.lock {
@@ -76,29 +54,18 @@ func (t *parProgram) SaveState(enc *snap.Encoder) {
 			break
 		}
 	}
-	enc.I64(idx)
-	enc.I64(int64(t.remaining))
-	enc.I64(int64(t.iter))
-	enc.I64(int64(t.phase))
-	enc.Bool(t.left)
-}
-
-// LoadState implements guest.ProgramState.
-func (t *parProgram) LoadState(dec *snap.Decoder) error {
-	idx := dec.I64()
-	t.remaining = sim.Time(dec.I64())
-	t.iter = int(dec.I64())
-	t.phase = int(dec.I64())
-	t.left = dec.Bool()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	t.lock = nil
-	if idx >= 0 {
-		if int(idx) >= len(t.locks) {
-			return fmt.Errorf("workload: %s: snapshot lock stripe %d out of %d", t.p.Name, idx, len(t.locks))
+	c.I64(&idx)
+	snap.AsI64(c, &t.remaining)
+	snap.AsI64(c, &t.iter)
+	snap.AsI64(c, &t.phase)
+	c.Bool(&t.left)
+	if c.Loading() && c.Err() == nil {
+		t.lock = nil
+		if idx >= int64(len(t.locks)) {
+			c.Fail(fmt.Errorf("workload: %s: snapshot lock stripe %d out of %d", t.p.Name, idx, len(t.locks)))
+		} else if idx >= 0 {
+			t.lock = t.locks[idx]
 		}
-		t.lock = t.locks[idx]
 	}
-	return nil
+	return c.Err()
 }
